@@ -22,6 +22,12 @@ MIN_NODES = 9
 # interior half-stencil width per derivative order (second-order centered)
 _HALF_WIDTH = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3}
 
+# one-sided 4-node second difference at unit spacing, the stencil of the
+# boundary curvature rows: d2h(-1) ~ (2 h0 - 5 h1 + 4 h2 - h3) / dx^2, and
+# mirrored, (2 h_{n-1} - 5 h_{n-2} + 4 h_{n-3} - h_{n-4}) / dx^2 at x = 1
+CURVATURE_STENCIL = np.array([2.0, -5.0, 4.0, -1.0])
+CURVATURE_STENCIL.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Grid:

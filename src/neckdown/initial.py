@@ -14,11 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid
+from .grid import CURVATURE_STENCIL, Grid
 from .steady import parabola, steady_profile
-
-# value rows use the nodal values directly; curvature rows this stencil
-_CURV = np.array([2.0, -5.0, 4.0, -1.0])
 
 
 def bc_residuals(values: np.ndarray, grid: Grid, pressure: float) -> np.ndarray:
@@ -28,8 +25,8 @@ def bc_residuals(values: np.ndarray, grid: Grid, pressure: float) -> np.ndarray:
     return np.array(
         [
             values[0] - 1.0,
-            _CURV @ values[:4] / dx2 - pressure,
-            _CURV @ values[-1:-5:-1] / dx2 - pressure,
+            CURVATURE_STENCIL @ values[:4] / dx2 - pressure,
+            CURVATURE_STENCIL @ values[-1:-5:-1] / dx2 - pressure,
             values[-1] - 1.0,
         ]
     )
@@ -49,8 +46,8 @@ def project_boundary_rows(values: np.ndarray, grid: Grid, pressure: float) -> np
     rows = np.vstack(
         [
             vand[0],
-            _CURV @ vand[:4] / dx2,
-            _CURV @ vand[-1:-5:-1] / dx2,
+            CURVATURE_STENCIL @ vand[:4] / dx2,
+            CURVATURE_STENCIL @ vand[-1:-5:-1] / dx2,
             vand[-1],
         ]
     )

@@ -5,7 +5,9 @@ discretization of d/dx (g * d3 h): face fluxes g_{i+1/2} * D3_face with
 D3_face the 4-node third difference, differenced back to nodes.  Rows 0 and
 n-1 pin the boundary values to 1; rows 1 and n-2 impose the curvature
 condition d2 h = P through one-sided 4-node stencils, which keeps the matrix
-pentadiagonal.  The solve is a direct banded LU.
+pentadiagonal.  The solve is one banded LU with partial pivoting: LAPACK
+gbtrf factors, gbtrs solves, and gbcon estimates the condition number from
+the same factors when a solve is rejected.
 """
 
 from __future__ import annotations
@@ -13,16 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
-from .grid import Grid, Profile, derivative, quadrature
-
-# one-sided second-derivative stencils for the curvature rows
-_BC_LEFT = np.array([2.0, -5.0, 4.0, -1.0])
-_BC_RIGHT = _BC_LEFT[::-1].copy()
+from .grid import CURVATURE_STENCIL, Grid, Profile, derivative, quadrature
 
 RESIDUAL_RTOL = 1e-9
-CONDITION_WARN = 1e12
+
+# sub- and superdiagonals of the pentadiagonal matrix
+_KL = _KU = 2
 
 
 class LinearSolveError(RuntimeError):
@@ -40,13 +40,9 @@ class BandedSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     bandwidth: int
-    grid: Grid
-    dt: float
-    pressure: float
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         ab = self.matrix
-        n = len(x)
         out = ab[2] * x
         out[:-1] += ab[1, 1:] * x[1:]
         out[:-2] += ab[0, 2:] * x[2:]
@@ -57,7 +53,7 @@ class BandedSystem:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Output of one implicit step: new profile, flux field, solve residual.
+    """Output of one implicit step: new profile and solve residual.
 
     solver_residual is ||A h - rhs||_inf; backward_error the normwise
     relative backward error ||A h - rhs|| / (||A|| ||h|| + ||rhs||), which is
@@ -66,21 +62,27 @@ class StepResult:
     """
 
     profile: Profile
-    flux_field: np.ndarray
     solver_residual: float
     rhs_norm: float
     backward_error: float
 
 
+def face_flux(mobility: np.ndarray, values: np.ndarray, dx: float) -> np.ndarray:
+    """Face fluxes g_{i+1/2} * D3_face on faces 3/2 .. n-5/2 (length n-3).
+
+    g_{i+1/2} is the mean of the two adjacent nodal mobilities and D3_face
+    the 4-node third difference centred on the face.
+    """
+    g_face = 0.5 * (mobility[:-1] + mobility[1:])  # g at face i+1/2, length n-1
+    d3_face = (-values[:-3] + 3.0 * values[1:-2] - 3.0 * values[2:-1] + values[3:]) / dx**3
+    return g_face[1:-1] * d3_face
+
+
 def apply_interior_operator(mobility: np.ndarray, grid: Grid, values: np.ndarray) -> np.ndarray:
     """L_g h on interior nodes 2..n-3 (zeros elsewhere): d/dx of the face flux."""
-    dx = grid.dx
-    g_face = 0.5 * (mobility[:-1] + mobility[1:])  # g at face i+1/2, length n-1
-    # 4-node third difference at face i+1/2 for i = 1..n-3
-    d3_face = (-values[:-3] + 3.0 * values[1:-2] - 3.0 * values[2:-1] + values[3:]) / dx**3
-    fluxes = g_face[1:-1] * d3_face  # faces 3/2 .. n-5/2
+    fluxes = face_flux(mobility, values, grid.dx)
     out = np.zeros_like(values)
-    out[2:-2] = (fluxes[1:] - fluxes[:-1]) / dx
+    out[2:-2] = (fluxes[1:] - fluxes[:-1]) / grid.dx
     return out
 
 
@@ -119,63 +121,44 @@ def assemble_operator(
     # value rows
     ab[2, 0] = 1.0
     ab[2, n - 1] = 1.0
-    # curvature rows: row 1 on columns 0..3, row n-2 on columns n-4..n-1
-    w = _BC_LEFT / dx**2
-    ab[3, 0] = w[0]
-    ab[2, 1] = w[1]
-    ab[1, 2] = w[2]
-    ab[0, 3] = w[3]
-    wr = _BC_RIGHT / dx**2  # exact mirror of the left curvature row
-    ab[4, n - 4] = wr[0]
-    ab[3, n - 3] = wr[1]
-    ab[2, n - 2] = wr[2]
-    ab[1, n - 1] = wr[3]
+    # curvature rows: row 1 on columns 0..3, row n-2 on columns n-4..n-1,
+    # the right row the exact mirror of the left
+    w = CURVATURE_STENCIL / dx**2
+    ab[3, 0], ab[2, 1], ab[1, 2], ab[0, 3] = w
+    ab[4, n - 4], ab[3, n - 3], ab[2, n - 2], ab[1, n - 1] = w[::-1]
 
     rhs = np.zeros(n)
     rhs[0] = 1.0
     rhs[n - 1] = 1.0
     rhs[1] = pressure
     rhs[n - 2] = pressure
-    return BandedSystem(
-        matrix=ab, rhs=rhs, bandwidth=5, grid=grid, dt=dt, pressure=pressure
-    )
+    return BandedSystem(matrix=ab, rhs=rhs, bandwidth=5)
 
 
-def _as_sparse(system: BandedSystem):
-    import scipy.sparse as sp
+def _factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """LU factors of a (5, n) band matrix by LAPACK gbtrf.
 
-    ab = system.matrix
-    n = ab.shape[1]
-    return sp.diags(
-        [ab[4, :-2], ab[3, :-1], ab[2], ab[1, 1:], ab[0, 2:]],
-        offsets=[-2, -1, 0, 1, 2],
-        format="csc",
-    )
+    gbtrf needs _KL extra rows above the band for the fill-in of row swaps;
+    the buffer is Fortran-ordered so LAPACK factors it in place.
+    """
+    buf = np.zeros((2 * _KL + _KU + 1, ab.shape[1]), order="F")
+    buf[_KL:] = ab
+    return dgbtrf(buf, _KL, _KU, overwrite_ab=True)
+
+
+def _condition(ab: np.ndarray, lu: np.ndarray, ipiv: np.ndarray) -> float:
+    """kappa_1 = 1 / rcond from LAPACK gbcon on the nonsingular LU factors
+    of ab, with ||A||_1 the largest column sum of |ab|."""
+    anorm = float(np.max(np.abs(ab).sum(axis=0)))
+    rcond, _ = dgbcon(_KL, _KU, lu, ipiv, anorm)
+    return 1.0 / rcond if rcond > 0.0 else np.inf
 
 
 def condition_estimate(system: BandedSystem) -> float:
-    """1-norm condition estimate kappa_1 = ||A||_1 * est ||A^-1||_1."""
-    from scipy.sparse.linalg import LinearOperator, onenormest, splu
-
-    a = _as_sparse(system)
-    n = a.shape[0]
-    try:
-        lu = splu(a)
-    except RuntimeError:
-        return np.inf
-    inv = LinearOperator(
-        (n, n),
-        matvec=lambda x: lu.solve(x),
-        rmatvec=lambda x: lu.solve(x, trans="T"),
-        matmat=lambda x: lu.solve(x),
-        dtype=float,
-    )
-    anorm = np.max(np.abs(system.matrix).sum(axis=0))
-    try:
-        inv_norm = onenormest(inv)
-    except Exception:
-        return np.inf
-    return float(anorm * inv_norm)
+    """1-norm condition estimate kappa_1 = ||A||_1 * est ||A^-1||_1; inf when
+    the LU finds an exactly zero pivot."""
+    lu, ipiv, info = _factor(system.matrix)
+    return np.inf if info > 0 else _condition(system.matrix, lu, ipiv)
 
 
 def step_linear(
@@ -200,17 +183,15 @@ def step_linear(
     if crank_nicolson:
         rhs[2:-2] -= dt_eff * apply_interior_operator(mobility, grid, h_old.values)[2:-2]
 
-    try:
-        new_values = sla.solve_banded(
-            (2, 2), system.matrix, rhs, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(
-            f"banded solve failed (condition estimate "
-            f"{condition_estimate(system):.3e}): {exc}"
-        ) from exc
-
     ab = system.matrix
+    lu, ipiv, info = _factor(ab)
+    if info > 0:
+        raise LinearSolveError(
+            f"banded solve failed (condition estimate inf): singular matrix, "
+            f"zero pivot in column {info}"
+        )
+    new_values, _ = dgbtrs(lu, _KL, _KU, rhs, ipiv)
+
     row_sums = np.abs(ab[2]).copy()
     row_sums[:-1] += np.abs(ab[1, 1:])
     row_sums[:-2] += np.abs(ab[0, 2:])
@@ -223,17 +204,14 @@ def step_linear(
     x_norm = float(np.max(np.abs(new_values))) if np.all(np.isfinite(new_values)) else np.inf
     backward = residual / (a_norm * x_norm + rhs_norm)
     if not np.isfinite(backward) or backward > RESIDUAL_RTOL:
-        cond = condition_estimate(system)
+        cond = _condition(ab, lu, ipiv)
         raise LinearSolveError(
             f"backward error {backward:.3e} exceeds {RESIDUAL_RTOL:.0e} "
             f"(residual {residual:.3e}, condition estimate {cond:.3e})"
         )
 
-    profile = Profile(grid=grid, values=new_values, pressure=pressure)
-    flux_field = mobility * derivative(new_values, grid.dx, 3)
     return StepResult(
-        profile=profile,
-        flux_field=flux_field,
+        profile=Profile(grid=grid, values=new_values, pressure=pressure),
         solver_residual=residual,
         rhs_norm=rhs_norm,
         backward_error=float(backward),

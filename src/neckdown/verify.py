@@ -15,7 +15,7 @@ from .evolve import SolverConfig, Termination, run, step_nonlinear
 from .functionals import entropy, flux_identity_residual
 from .grid import Profile, make_grid
 from .initial import ic_steady_perturbed_poly
-from .linear import step_linear
+from .linear import face_flux, step_linear
 from .steady import steady_energy, steady_profile
 
 
@@ -171,9 +171,7 @@ def check_mass_conservation() -> CheckResult:
     dt = 1e-4
     g = np.sqrt(h0.values**2 + 1e-4)
     h1v = step_linear(h0, g, dt, 1.0).profile.values
-    g_face = 0.5 * (g[:-1] + g[1:])
-    d3_face = (-h1v[:-3] + 3.0 * h1v[1:-2] - 3.0 * h1v[2:-1] + h1v[3:]) / grid.dx**3
-    w_face = g_face[1:-1] * d3_face
+    w_face = face_flux(g, h1v, grid.dx)
     interior = slice(2, grid.n - 2)
     dmass = float(np.sum(h1v[interior] - h0.values[interior]) * grid.dx)
     resid = abs(dmass + dt * (w_face[-1] - w_face[0]))
