@@ -2,7 +2,8 @@
 
 Configuration precedence is flags over config-file values over defaults.
 Pinch detection counts as a successful outcome (exit 0); solver failures
-exit 3, bad arguments exit 2.
+exit 3, bad arguments exit 2.  A sweep records a job that fails either way
+as a row of its summary and exits 3.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .grid import Profile, make_grid
 from .initial import build_initial_condition
 from .io import (
     RunManifest,
+    _g17,
+    _g17_row,
     _jsonable,
     config_to_dict,
     default_out_dir,
@@ -70,24 +73,11 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    """The solver flags' dest names are the SolverConfig field names."""
     file_values = None
     if args.config is not None:
         file_values = json.loads(Path(args.config).read_text())
-    flags = {
-        "pressure": args.pressure,
-        "epsilon": args.epsilon,
-        "n": args.n,
-        "dt": args.dt,
-        "t_final": args.t_final,
-        "picard_tol": args.picard_tol,
-        "picard_max": args.picard_max,
-        "pinch_floor": args.pinch_floor,
-        "output_every": args.output_every,
-        "flux_diagnostics": args.flux_diagnostics,
-        "crank_nicolson": args.crank_nicolson,
-        "simpson": args.simpson,
-    }
-    return resolve_config(flags, file_values)
+    return resolve_config(vars(args), file_values)
 
 
 def _echo_config(cfg: SolverConfig) -> None:
@@ -117,12 +107,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if traj.termination in OK_TERMINATIONS else 3
 
 
-def _sweep_worker(payload: tuple[SolverConfig, str, str, int]) -> dict:
+def _sweep_worker(payload: tuple[SolverConfig, str, str, int]) -> dict | str:
+    """One sweep job: its report, or the message of an error that would make
+    a single run exit 2, so that one bad job does not lose the batch."""
     cfg, ic, out_dir, seed = payload
-    manifest = RunManifest(
-        config=cfg, initial_condition=ic, out_dir=Path(out_dir), seed=seed
-    )
-    _, report = execute_run(manifest)
+    try:
+        manifest = RunManifest(
+            config=cfg, initial_condition=ic, out_dir=Path(out_dir), seed=seed
+        )
+        _, report = execute_run(manifest)
+    except (ValueError, OSError) as exc:
+        return str(exc)
     return report
 
 
@@ -131,13 +126,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not pressures:
         print("sweep needs at least one pressure", file=sys.stderr)
         return 2
-    base = args
     out_root = args.out_dir if args.out_dir is not None else default_out_dir()
     payloads = []
     for p in pressures:
-        ns = argparse.Namespace(**vars(base))
-        ns.pressure = p
-        cfg = _solver_config(ns)
+        cfg = _solver_config(argparse.Namespace(**{**vars(args), "pressure": p}))
         payloads.append((cfg, args.ic, str(out_root / f"P{p:g}"), args.seed))
 
     if args.workers > 1:
@@ -150,19 +142,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = ["pressure,termination,t_end,energy_final,pinched,t_pinch"]
     ok = True
     for p, rep in zip(pressures, reports):
+        if isinstance(rep, str):
+            print(f"error: pressure {p:g}: {rep}", file=sys.stderr)
+            ok = False
+            lines.append(f"{p:g},error,,,,")
+            continue
         pinch = rep["pinch"]
         ok = ok and rep["termination"] in {t.value for t in OK_TERMINATIONS}
-        lines.append(
-            "%g,%s,%.17g,%.17g,%s,%s"
-            % (
-                p,
-                rep["termination"],
-                rep["t_end"],
-                rep["energy_final"],
-                str(bool(pinch["pinched"])).lower(),
-                "%.17g" % pinch["t_pinch"] if pinch["t_pinch"] is not None else "",
-            )
-        )
+        numbers = _g17_row((rep["t_end"], rep["energy_final"]))
+        pinched = str(bool(pinch["pinched"])).lower()
+        t_pinch = "" if pinch["t_pinch"] is None else _g17(pinch["t_pinch"])
+        lines.append(f"{p:g},{rep['termination']},{numbers},{pinched},{t_pinch}")
     summary = "\n".join(lines) + "\n"
     (out_root / "summary.csv").write_text(summary)
     print(summary, end="")

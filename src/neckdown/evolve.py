@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .functionals import EnergyLedger, dissipation, energy
-from .grid import Grid, Profile, derivative, h1_norm, make_grid, min_value
+from .grid import Grid, Profile, derivative, h1_norm, min_value
 from .initial import bc_residuals
 from .linear import FluxEnergyReport, LinearSolveError, StepResult, flux_energy_report, step_linear
 from .steady import steady_profile
@@ -111,7 +111,6 @@ class Trajectory:
     failure_message: str | None = None
     flux_reports: list[FluxEnergyReport] = field(default_factory=list)
     max_solver_residual: float = 0.0
-    start: RunStart = field(default_factory=RunStart)
 
     @property
     def final(self) -> Profile:
@@ -154,12 +153,12 @@ def step_nonlinear(h_old: Profile, cfg: SolverConfig) -> tuple[StepResult, int]:
     )
 
 
-def _validate_initial(h0: Profile, cfg: SolverConfig, grid: Grid) -> None:
-    if h0.grid.n != grid.n:
+def _validate_initial(h0: Profile, cfg: SolverConfig) -> None:
+    if h0.grid.n != cfg.n:
         raise ValueError(
-            f"initial data lives on {h0.grid.n} nodes, config wants {grid.n}"
+            f"initial data lives on {h0.grid.n} nodes, config wants {cfg.n}"
         )
-    res = bc_residuals(h0.values, grid, cfg.pressure)
+    res = bc_residuals(h0.values, h0.grid, cfg.pressure)
     if abs(res[0]) > VALUE_ROW_TOL or abs(res[3]) > VALUE_ROW_TOL:
         raise ValueError(
             f"initial data violates the boundary value rows: h(-1)-1 = {res[0]:.3e}, "
@@ -177,8 +176,8 @@ def _validate_initial(h0: Profile, cfg: SolverConfig, grid: Grid) -> None:
 
 def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajectory:
     """Advance the model from h0 until t_final, the pinch floor, or failure."""
-    grid = h0.grid if h0.grid.n == cfg.n else make_grid(cfg.n)
-    _validate_initial(h0, cfg, grid)
+    _validate_initial(h0, cfg)
+    grid = h0.grid
     start = start or RunStart()
     if h0.pressure != cfg.pressure:
         h0 = Profile(grid=grid, values=h0.values, pressure=cfg.pressure)
@@ -272,7 +271,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
 
     if snap_steps[-1] != k:
         snapshots.append(h)
-        snap_times.append(start.time + (k - start.step) * cfg.dt)
+        snap_times.append(ledger[-1].time)
         snap_steps.append(k)
 
     return Trajectory(
@@ -288,7 +287,6 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         failure_message=failure_message,
         flux_reports=flux_rows,
         max_solver_residual=max_residual,
-        start=start,
     )
 
 

@@ -38,6 +38,23 @@ def _g17(x: float) -> str:
     return "%.17g" % x
 
 
+def _g17_row(values, sep: str = ",") -> str:
+    """One row of numbers, each as _g17 text, joined by sep."""
+    return sep.join(map(_g17, values))
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temp file beside path, then os.replace it over path,
+    so path holds either its old bytes or the new ones, never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce a run and locate its outputs."""
@@ -75,39 +92,19 @@ class RunManifest:
 
 
 def write_ledger_csv(traj: Trajectory, path: Path) -> None:
-    lines = [LEDGER_HEADER]
-    for row, mins, iters in zip(traj.ledger, traj.min_series, traj.picard_iters):
-        lines.append(
-            ",".join(
-                [
-                    _g17(row.time),
-                    _g17(row.energy),
-                    _g17(row.dissipation),
-                    _g17(row.cumulative_dissipation),
-                    _g17(mins[2]),
-                    _g17(mins[1]),
-                    str(int(iters)),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    rows = (
+        (r.time, r.energy, r.dissipation, r.cumulative_dissipation, m[2], m[1], iters)
+        for r, m, iters in zip(traj.ledger, traj.min_series, traj.picard_iters)
+    )
+    path.write_text("\n".join([LEDGER_HEADER, *map(_g17_row, rows)]) + "\n")
 
 
 def write_flux_csv(traj: Trajectory, path: Path) -> None:
-    lines = [FLUX_HEADER]
-    for row in traj.flux_reports:
-        lines.append(
-            ",".join(
-                _g17(v)
-                for v in (
-                    row.time,
-                    row.weighted_flux_norm,
-                    row.flux_curvature_norm,
-                    row.identity_residual,
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    rows = (
+        (r.time, r.weighted_flux_norm, r.flux_curvature_norm, r.identity_residual)
+        for r in traj.flux_reports
+    )
+    path.write_text("\n".join([FLUX_HEADER, *map(_g17_row, rows)]) + "\n")
 
 
 def write_snapshots_jsonl(traj: Trajectory, path: Path) -> None:
@@ -115,7 +112,7 @@ def write_snapshots_jsonl(traj: Trajectory, path: Path) -> None:
         for t, step, snap in zip(traj.times, traj.snapshot_steps, traj.snapshots):
             fh.write(
                 '{"t": %s, "step": %d, "values": [%s]}\n'
-                % (_g17(t), int(step), ", ".join(_g17(v) for v in snap.values))
+                % (_g17(t), int(step), _g17_row(snap.values, ", "))
             )
 
 
@@ -191,7 +188,7 @@ def build_report(traj: Trajectory) -> dict:
 
 
 def write_report_json(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def write_checkpoint(traj: Trajectory, path: Path) -> None:
@@ -203,7 +200,7 @@ def write_checkpoint(traj: Trajectory, path: Path) -> None:
         "cumulative_dissipation": traj.ledger[-1].cumulative_dissipation,
         "values": [float(v) for v in traj.final.values],
     }
-    path.write_text(json.dumps(state) + "\n")
+    _write_atomic(path, json.dumps(state) + "\n")
 
 
 def load_checkpoint(path: Path, cfg: SolverConfig) -> tuple[Profile, RunStart]:

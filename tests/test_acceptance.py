@@ -263,6 +263,7 @@ def test_04_energy_dissipation_suite(grid201):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_05_subcritical_relaxation(relaxation_pair):
     (traj_a, el_a), (traj_b, el_b) = relaxation_pair
     for traj in (traj_a, traj_b):

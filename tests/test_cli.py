@@ -1,20 +1,25 @@
 """Tests for config resolution, run artifacts, and the command line."""
 
 import json
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from neckdown.cli import main
+from neckdown.cli import _solver_config, build_parser, main
 from neckdown.evolve import SolverConfig
 from neckdown.io import (
+    FLUX_HEADER,
     LEDGER_HEADER,
     RunManifest,
+    build_report,
     execute_run,
     load_checkpoint,
     read_snapshots_jsonl,
     resolve_config,
     write_checkpoint,
+    write_report_json,
 )
 
 
@@ -64,6 +69,16 @@ def test_execute_run_writes_parseable_artifacts(tmp_path):
     assert float(first[1]) == traj.ledger[0].energy     # %.17g round-trips
     assert float(first[4]) == traj.min_series[0, 2]
     assert int(first[6]) == 0
+    # every field of every row parses back to the trajectory's double
+    expected = np.array(
+        [
+            (r.time, r.energy, r.dissipation, r.cumulative_dissipation, m[2], m[1], it)
+            for r, m, it in zip(traj.ledger, traj.min_series, traj.picard_iters)
+        ]
+    )
+    parsed = np.array([[float(v) for v in line.split(",")] for line in ledger_lines[1:]])
+    assert parsed.tobytes() == expected.tobytes()
+    assert all(line.rpartition(",")[2].isdigit() for line in ledger_lines[1:])
 
     rows = read_snapshots_jsonl(manifest.snapshots_path)
     assert len(rows) == len(traj.snapshots)
@@ -81,6 +96,15 @@ def test_execute_run_writes_parseable_artifacts(tmp_path):
     flux_lines = manifest.flux_path.read_text().splitlines()
     assert flux_lines[0].startswith("t,")
     assert len(flux_lines) == 1 + len(traj.flux_reports)
+    assert flux_lines[0] == FLUX_HEADER
+    expected = np.array(
+        [
+            (r.time, r.weighted_flux_norm, r.flux_curvature_norm, r.identity_residual)
+            for r in traj.flux_reports
+        ]
+    )
+    parsed = np.array([[float(v) for v in line.split(",")] for line in flux_lines[1:]])
+    assert parsed.tobytes() == expected.tobytes()
 
 
 def test_execute_run_is_deterministic(tmp_path):
@@ -98,6 +122,39 @@ def test_execute_run_is_deterministic(tmp_path):
         a = getattr(outs[0], attr).read_bytes()
         b = getattr(outs[1], attr).read_bytes()
         assert a == b, f"{attr} differs between identical runs"
+
+
+def test_interrupted_writes_keep_previous_report_and_checkpoint(tmp_path, monkeypatch):
+    first = RunManifest(
+        config=quick_config(),
+        initial_condition="steady-perturbed-poly:0.05",
+        out_dir=tmp_path,
+        checkpoint=tmp_path / "state.json",
+    )
+    execute_run(first)
+    later = RunManifest(
+        config=quick_config(t_final=0.02),
+        initial_condition="steady-perturbed-poly:0.05",
+        out_dir=tmp_path / "later",
+    )
+    traj, _ = execute_run(later)
+    paths = (first.checkpoint, first.report_path)
+    before = [path.read_bytes() for path in paths]
+    listing = sorted(tmp_path.iterdir())
+
+    def fail_between_write_and_rename(src, dst):
+        assert os.path.dirname(src) == os.path.dirname(dst) and os.path.exists(src)
+        raise OSError("injected failure before the rename")
+
+    monkeypatch.setattr(os, "replace", fail_between_write_and_rename)
+    with pytest.raises(OSError, match="injected"):
+        write_checkpoint(traj, first.checkpoint)
+    with pytest.raises(OSError, match="injected"):
+        write_report_json(build_report(traj), first.report_path)
+    monkeypatch.undo()
+
+    assert [path.read_bytes() for path in paths] == before
+    assert sorted(tmp_path.iterdir()) == listing
 
 
 def test_checkpoint_roundtrip_and_mismatch(tmp_path):
@@ -292,6 +349,54 @@ def test_cli_sweep_writes_summary(tmp_path, capsys):
     assert summary[2].startswith("4,reached-t-final")
     assert (tmp_path / "sweep" / "P1.5" / "report.json").exists()
     assert (tmp_path / "sweep" / "P4" / "report.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_keeps_the_batch_when_a_job_fails(tmp_path, capsys, workers):
+    rc = main(
+        [
+            "sweep",
+            "--pressures", "1,6",
+            "--workers", workers,
+            "--dt", "1e-4",
+            "--t-final", "1e-3",
+            "--ic", "steady-perturbed-poly:0.05",
+            "--out-dir", str(tmp_path / "sweep"),
+        ]
+    )
+    assert rc == 3
+    summary = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
+    assert summary[0] == "pressure,termination,t_end,energy_final,pinched,t_pinch"
+    assert len(summary) == 3
+    assert summary[1].startswith("1,reached-t-final,")
+    assert summary[2] == "6,error,,,,"
+    assert "pressure 6: perturbed-poly data with amplitude 0.05 is not positive" in (
+        capsys.readouterr().err
+    )
+    assert (tmp_path / "sweep" / "P1" / "report.json").exists()
+
+
+NON_DEFAULT_SOLVER_FLAGS = [
+    "--pressure", "2.5", "--epsilon", "0.03", "--n", "301", "--dt", "2e-4",
+    "--t-final", "0.7", "--picard-tol", "1e-6", "--picard-max", "7",
+    "--pinch-floor", "2e-3", "--output-every", "9",
+    "--flux-diagnostics", "--cn", "--simpson",
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["sweep", "--pressures", "2.5"], ["continuation", "--eps-schedule", "1e-2"]],
+)
+def test_every_solver_field_is_set_by_its_flag(command):
+    cfg = _solver_config(build_parser().parse_args(command + NON_DEFAULT_SOLVER_FLAGS))
+    assert cfg == SolverConfig(
+        pressure=2.5, epsilon=0.03, n=301, dt=2e-4, t_final=0.7, picard_tol=1e-6,
+        picard_max=7, pinch_floor=2e-3, output_every=9, flux_diagnostics=True,
+        crank_nicolson=True, simpson=True,
+    )
+    for field in fields(SolverConfig):
+        assert getattr(cfg, field.name) != field.default, field.name
 
 
 def test_cli_continuation_writes_pairs(tmp_path, capsys):

@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 from neckdown.evolve import VALUE_ROW_TOL
 from neckdown.grid import CURVATURE_STENCIL as _BC_LEFT, Profile, h1_norm, make_grid
 from neckdown.functionals import energy
+from neckdown import linear
 from neckdown.initial import build_initial_condition
 from neckdown.linear import (
     RESIDUAL_RTOL,
     BandedSystem,
+    LinearSolveError,
+    apply_interior_operator,
     assemble_operator,
     condition_estimate,
     flux_energy_report,
@@ -334,3 +337,82 @@ def test_right_value_row_is_exact():
 def test_left_value_row_stays_within_restore_tolerance():
     left, _ = value_row_defects(17)
     assert np.max(left) <= VALUE_ROW_TOL
+
+
+def perturbed_state(grid):
+    base = steady_profile(1.0, grid).profile.values
+    return Profile(grid=grid, values=base + 1e-2 * mode_shape(grid, 1), pressure=1.0)
+
+
+def test_gate_rejects_non_finite_solution(grid201, monkeypatch):
+    real = linear.dgbtrs
+
+    def nan_solve(*args):
+        x, info = real(*args)
+        x[7] = np.nan
+        x[9] = np.inf
+        return x, info
+
+    monkeypatch.setattr(linear, "dgbtrs", nan_solve)
+    with pytest.raises(LinearSolveError, match="backward error") as exc:
+        step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
+    assert "condition estimate" in str(exc.value)
+
+
+def test_gate_rejects_perturbed_solution(grid201, monkeypatch):
+    real = linear.dgbtrs
+
+    def off_solve(*args):
+        x, info = real(*args)
+        return x + 1e-3, info
+
+    monkeypatch.setattr(linear, "dgbtrs", off_solve)
+    with pytest.raises(LinearSolveError, match=f"exceeds {RESIDUAL_RTOL:.0e}"):
+        step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
+
+
+def test_gate_rejects_singular_factorization(grid201, monkeypatch):
+    real = linear.dgbtrf
+
+    def zero_pivot(*args, **kwargs):
+        lu, ipiv, _ = real(*args, **kwargs)
+        return lu, ipiv, 5
+
+    monkeypatch.setattr(linear, "dgbtrf", zero_pivot)
+    with pytest.raises(LinearSolveError, match="singular matrix, zero pivot in column 5"):
+        step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([9, 201, 801]),
+    g_lo=st.floats(1e-4, 3.0),
+    g_hi=st.floats(1e-4, 3.0),
+    log_dt=st.floats(-7.0, -2.0),
+    pressure=st.floats(0.5, 4.0),
+    crank_nicolson=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_backward_error_uses_dense_infinity_norm(
+    n, g_lo, g_hi, log_dt, pressure, crank_nicolson, seed
+):
+    """backward_error = ||A x - b|| / (||A|| ||x|| + ||b||) in the infinity
+    norm, with ||A|| the largest row sum of the dense |A|."""
+    grid = make_grid(n)
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
+    dt = 10.0**log_dt
+    h = Profile(grid=grid, values=1.0 + 0.1 * rng.standard_normal(n), pressure=pressure)
+    out = step_linear(h, g, dt, pressure, crank_nicolson=crank_nicolson)
+    dt_eff = 0.5 * dt if crank_nicolson else dt
+    system = assemble_operator(g, grid, dt_eff, pressure)
+    rhs = system.rhs.copy()
+    rhs[2:-2] = h.values[2:-2]
+    if crank_nicolson:
+        rhs[2:-2] -= dt_eff * apply_interior_operator(g, grid, h.values)[2:-2]
+    a_norm = np.max(np.abs(band_to_dense(system.matrix)).sum(axis=1))
+    x_norm = np.max(np.abs(out.profile.values))
+    b_norm = np.max(np.abs(rhs))
+    assert out.rhs_norm == b_norm
+    expected = out.solver_residual / (a_norm * x_norm + b_norm)
+    assert out.backward_error == pytest.approx(expected, rel=1e-12, abs=0.0)
