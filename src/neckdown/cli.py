@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .evolve import SolverConfig, Termination, epsilon_continuation
@@ -133,6 +132,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         payloads.append((cfg, args.ic, str(out_root / f"P{p:g}"), args.seed))
 
     if args.workers > 1:
+        # imported here: multiprocessing would otherwise load on every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             reports = list(pool.map(_sweep_worker, payloads))
     else:

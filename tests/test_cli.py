@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,21 @@ def quick_config(**overrides):
     )
     base.update(overrides)
     return SolverConfig(**base)
+
+
+def test_import_loads_no_integrate_optimize_special_or_multiprocessing():
+    """Every command pays for what `import neckdown.cli` loads; the Simpson rule
+    and the sweep's process pool must not pull these in."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, neckdown.cli; print(' '.join(m for m in ('scipy.integrate', "
+        "'scipy.optimize', 'scipy.special', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []
 
 
 def test_resolve_config_precedence():
