@@ -131,7 +131,7 @@ def step_nonlinear(h_old: Profile, cfg: SolverConfig) -> tuple[StepResult, int]:
     picard_tol relative in H^1, and LinearSolveError on solver trouble.
     """
     grid = h_old.grid
-    if cfg.epsilon == 0.0 and float(np.min(h_old.values)) <= cfg.pinch_floor:
+    if cfg.epsilon == 0.0 and h_old.values.min() <= cfg.pinch_floor:
         raise ValueError(
             "unregularized step requires min(h) above the pinch floor"
         )

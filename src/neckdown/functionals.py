@@ -55,7 +55,7 @@ def flux(p: Profile, mobility: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"mobility has shape {g.shape}, expected ({p.grid.n},)"
         )
-    if np.any(g <= 0.0):
+    if not (g > 0.0).all():
         raise ValueError("mobility must be positive everywhere")
     return g * derivative(p.values, p.grid.dx, 3)
 

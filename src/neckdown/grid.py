@@ -67,7 +67,7 @@ class Profile:
             raise ValueError(
                 f"profile has {values.shape} values for a {self.grid.n}-node grid"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("profile values must be finite")
         values = values.copy()
         values.flags.writeable = False

@@ -12,7 +12,9 @@ the same factors when a solve is rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
@@ -47,11 +49,18 @@ class BandedSystem:
 
 def _band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for A in (5, n) band storage."""
-    out = ab[2] * x
-    out[:-1] += ab[1, 1:] * x[1:]
-    out[:-2] += ab[0, 2:] * x[2:]
-    out[1:] += ab[3, :-1] * x[:-1]
-    out[2:] += ab[4, :-2] * x[:-2]
+    return _row_sums(ab * x)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums of a (5, n) band-stored matrix, in place: entry (i, j) sits at
+    terms[2 + i - j, j], and each row adds its diagonal, then the entries
+    at j = i+1, i+2, i-1, i-2.  Returns a view of terms[2]."""
+    out = terms[2]
+    out[:-1] += terms[1, 1:]
+    out[:-2] += terms[0, 2:]
+    out[1:] += terms[3, :-1]
+    out[2:] += terms[4, :-2]
     return out
 
 
@@ -103,29 +112,50 @@ def assemble_operator(
     g = np.asarray(mobility, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"mobility has shape {g.shape}, expected ({n},)")
-    if np.any(g <= 0.0):
+    if not (g > 0.0).all():
         raise ValueError("mobility must be positive everywhere")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    g_face = 0.5 * (g[:-1] + g[1:])
-    gp = g_face[2:-1]  # g_{i+1/2} for interior rows i = 2..n-3
-    gm = g_face[1:-2]  # g_{i-1/2}
+    band, targets = _boundary_rows(n, dx, float(pressure))
+    ab = band.copy()
+    rhs = targets.copy()
+
+    # interior rows i = 2..n-3: I + dt/dx^4 * [gm, -(gp+3gm), 3(gp+gm), -(3gp+gm), gp],
+    # written in place; each diagonal repeats the operations, in their order,
+    # of the whole-array expression beside it, so it rounds the same way
+    g_face = g[1:-2] + g[2:-1]
+    g_face *= 0.5                   # g_{i+1/2} for i = 1..n-3
+    gp = g_face[1:]                 # g_{i+1/2} for interior rows i
+    gm = g_face[:-1]                # g_{i-1/2}
     scale = dt / dx**4
+    up2, up1, diag, lo1, lo2 = ab[0, 4:], ab[1, 3:-1], ab[2, 2:-2], ab[3, 1:-3], ab[4, :-4]
+    np.multiply(scale, gp, out=up2)     # (i, i+2) = scale * gp
+    np.multiply(-3.0, gp, out=up1)      # (i, i+1) = scale * (-3.0 * gp - gm)
+    up1 -= gm
+    up1 *= scale
+    np.add(gp, gm, out=diag)            # (i, i) = 1.0 + scale * 3.0 * (gp + gm)
+    diag *= scale * 3.0
+    diag += 1.0
+    np.multiply(3.0, gm, out=lo2)       # (i, i-1) = scale * (-gp - 3.0 * gm),
+    np.negative(gp, out=lo1)            # with lo2 holding 3.0 * gm until
+    lo1 -= lo2                          # it takes its own diagonal
+    lo1 *= scale
+    np.multiply(scale, gm, out=lo2)     # (i, i-2) = scale * gm
+    return BandedSystem(matrix=ab, rhs=rhs, bandwidth=5)
 
+
+@lru_cache(maxsize=64)
+def _boundary_rows(n: int, dx: float, pressure: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only band and rhs holding only the four boundary rows.
+
+    Rows 0 and n-1 pin the values to 1; row 1 (columns 0..3) and row n-2
+    (columns n-4..n-1, the exact mirror) impose d2 h = P.  Interior entries
+    are zero; assemble_operator copies both arrays before filling them.
+    """
     ab = np.zeros((5, n))
-    # interior rows i = 2..n-3: I + dt/dx^4 * [gm, -(gp+3gm), 3(gp+gm), -(3gp+gm), gp]
-    ab[0, 4:] = scale * gp                        # (i, i+2)
-    ab[1, 3:-1] = scale * (-3.0 * gp - gm)        # (i, i+1)
-    ab[2, 2:-2] = 1.0 + scale * 3.0 * (gp + gm)   # (i, i)
-    ab[3, 1:-3] = scale * (-gp - 3.0 * gm)        # (i, i-1)
-    ab[4, :-4] = scale * gm                       # (i, i-2)
-
-    # value rows
     ab[2, 0] = 1.0
     ab[2, n - 1] = 1.0
-    # curvature rows: row 1 on columns 0..3, row n-2 on columns n-4..n-1,
-    # the right row the exact mirror of the left
     w = CURVATURE_STENCIL / dx**2
     ab[3, 0], ab[2, 1], ab[1, 2], ab[0, 3] = w
     ab[4, n - 4], ab[3, n - 3], ab[2, n - 2], ab[1, n - 1] = w[::-1]
@@ -135,7 +165,9 @@ def assemble_operator(
     rhs[n - 1] = 1.0
     rhs[1] = pressure
     rhs[n - 2] = pressure
-    return BandedSystem(matrix=ab, rhs=rhs, bandwidth=5)
+    ab.flags.writeable = False
+    rhs.flags.writeable = False
+    return ab, rhs
 
 
 def _factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -195,12 +227,14 @@ def step_linear(
         )
     new_values, _ = dgbtrs(lu, _KL, _KU, rhs, ipiv)
 
-    a_norm = float(np.max(_band_product(np.abs(ab), np.ones(grid.n))))
-    residual = float(np.max(np.abs(system.matvec(new_values) - rhs)))
-    rhs_norm = float(np.max(np.abs(rhs)))
-    x_norm = float(np.max(np.abs(new_values)))
+    a_norm = float(_row_sums(np.abs(ab)).max())
+    r = _band_product(ab, new_values)
+    r -= rhs
+    residual = float(np.abs(r, out=r).max())
+    rhs_norm = float(np.abs(rhs).max())
+    x_norm = float(np.abs(new_values).max())
     backward = residual / (a_norm * x_norm + rhs_norm)
-    if not np.isfinite(backward) or backward > RESIDUAL_RTOL:
+    if not math.isfinite(backward) or backward > RESIDUAL_RTOL:
         cond = _condition(ab, lu, ipiv)
         raise LinearSolveError(
             f"backward error {backward:.3e} exceeds {RESIDUAL_RTOL:.0e} "

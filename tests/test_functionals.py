@@ -83,6 +83,14 @@ def test_flux_rejects_bad_mobility(grid201):
         flux(p, g)
 
 
+def test_flux_rejects_nan_mobility(grid201):
+    p = Profile(grid=grid201, values=np.ones(201), pressure=1.0)
+    g = np.ones(201)
+    g[7] = np.nan
+    with pytest.raises(ValueError, match="mobility must be positive"):
+        flux(p, g)
+
+
 def test_flux_identity_vanishes_on_quadratics():
     # Coarse grid: differentiating twice amplifies roundoff like eps/dx^4,
     # so the identity is only clean far from that floor.

@@ -98,6 +98,34 @@ def test_assemble_rejects_bad_inputs(grid201):
         assemble_operator(np.ones(13), grid201, 1e-5, 1.0)
 
 
+@pytest.mark.parametrize("crank_nicolson", [False, True])
+def test_nan_mobility_is_rejected(grid201, crank_nicolson):
+    g = np.ones(grid201.n)
+    g[57] = np.nan
+    with pytest.raises(ValueError, match="mobility must be positive"):
+        assemble_operator(g, grid201, 1e-5, 1.0)
+    h = steady_profile(1.0, grid201).profile
+    with pytest.raises(ValueError, match="mobility must be positive"):
+        step_linear(h, g, 1e-5, 1.0, crank_nicolson=crank_nicolson)
+
+
+def test_assembled_arrays_are_not_shared_between_calls(grid201):
+    """Boundary rows come from a cached template; mutating one call's matrix
+    and rhs (step_linear fills the rhs in place) leaves the next call intact."""
+    g = 0.5 + np.random.default_rng(8).random(grid201.n)
+    first = assemble_operator(g, grid201, 1e-5, 1.5)
+    matrix, rhs = first.matrix.copy(), first.rhs.copy()
+    first.matrix[:] = np.nan
+    first.rhs[:] = np.nan
+    again = assemble_operator(g, grid201, 1e-5, 1.5)
+    assert again.matrix.tobytes() == matrix.tobytes()
+    assert again.rhs.tobytes() == rhs.tobytes()
+
+    other = assemble_operator(g, grid201, 1e-5, 3.0)
+    assert other.rhs[1] == other.rhs[-2] == 3.0
+    assert again.rhs[1] == again.rhs[-2] == 1.5
+
+
 def test_parabola_is_fixed_point_for_any_mobility(grid201):
     rng = np.random.default_rng(5)
     state = steady_profile(1.5, grid201)
@@ -416,3 +444,81 @@ def test_backward_error_uses_dense_infinity_norm(
     assert out.rhs_norm == b_norm
     expected = out.solver_residual / (a_norm * x_norm + b_norm)
     assert out.backward_error == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _reference_band_product(ab, x):
+    """A x as whole-array products added row by row."""
+    out = ab[2] * x
+    out[:-1] += ab[1, 1:] * x[1:]
+    out[:-2] += ab[0, 2:] * x[2:]
+    out[1:] += ab[3, :-1] * x[:-1]
+    out[2:] += ab[4, :-2] * x[:-2]
+    return out
+
+
+def _reference_assembly(g, grid, dt, pressure):
+    """(I + dt L_g) and its rhs from whole-array expressions, the reference
+    for the in-place assembly."""
+    n, dx = grid.n, grid.dx
+    g_face = 0.5 * (g[:-1] + g[1:])
+    gp = g_face[2:-1]
+    gm = g_face[1:-2]
+    scale = dt / dx**4
+    ab = np.zeros((5, n))
+    ab[0, 4:] = scale * gp
+    ab[1, 3:-1] = scale * (-3.0 * gp - gm)
+    ab[2, 2:-2] = 1.0 + scale * 3.0 * (gp + gm)
+    ab[3, 1:-3] = scale * (-gp - 3.0 * gm)
+    ab[4, :-4] = scale * gm
+    ab[2, 0] = 1.0
+    ab[2, n - 1] = 1.0
+    w = _BC_LEFT / dx**2
+    ab[3, 0], ab[2, 1], ab[1, 2], ab[0, 3] = w
+    ab[4, n - 4], ab[3, n - 3], ab[2, n - 2], ab[1, n - 1] = w[::-1]
+    rhs = np.zeros(n)
+    rhs[0] = rhs[n - 1] = 1.0
+    rhs[1] = rhs[n - 2] = pressure
+    return ab, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([9, 201, 801]),
+    g_lo=st.floats(1e-4, 3.0),
+    g_hi=st.floats(1e-4, 3.0),
+    log_dt=st.floats(-7.0, -2.0),
+    pressure=st.floats(0.5, 4.0),
+    crank_nicolson=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_matches_whole_array_formulation_bit_for_bit(
+    n, g_lo, g_hi, log_dt, pressure, crank_nicolson, seed
+):
+    """The in-place assembly and the gate's norms give the bits of the
+    whole-array expressions they replaced, in every output."""
+    grid = make_grid(n)
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
+    dt = 10.0**log_dt
+    h = Profile(grid=grid, values=1.0 + 0.1 * rng.standard_normal(n), pressure=pressure)
+    dt_eff = 0.5 * dt if crank_nicolson else dt
+
+    ab, rhs = _reference_assembly(g, grid, dt_eff, pressure)
+    system = assemble_operator(g, grid, dt_eff, pressure)
+    assert system.matrix.tobytes() == ab.tobytes()
+    assert system.rhs.tobytes() == rhs.tobytes()
+
+    rhs[2:-2] = h.values[2:-2]
+    if crank_nicolson:
+        rhs[2:-2] -= dt_eff * apply_interior_operator(g, grid, h.values)[2:-2]
+    x = sla.solve_banded((2, 2), ab, rhs)
+    a_norm = float(np.max(_reference_band_product(np.abs(ab), np.ones(n))))
+    residual = float(np.max(np.abs(_reference_band_product(ab, x) - rhs)))
+    rhs_norm = float(np.max(np.abs(rhs)))
+    x_norm = float(np.max(np.abs(x)))
+
+    out = step_linear(h, g, dt, pressure, crank_nicolson=crank_nicolson)
+    assert out.profile.values.tobytes() == x.tobytes()
+    assert out.solver_residual == residual
+    assert out.rhs_norm == rhs_norm
+    assert out.backward_error == residual / (a_norm * x_norm + rhs_norm)
