@@ -232,7 +232,7 @@ def _cmd_continuation(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_checks(quick=args.quick)
+    results = run_checks()
     print(format_table(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.set_defaults(func=_cmd_continuation)
 
     p_verify = sub.add_parser("verify", help="run the invariant checks")
-    p_verify.add_argument("--quick", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -36,15 +36,14 @@ def energy(p: Profile, pressure: float, rule: str = "trapezoid") -> float:
     )
 
 
-def dissipation(p: Profile, rule: str = "trapezoid", clip_negative: bool = True) -> float:
+def dissipation(p: Profile, rule: str = "trapezoid") -> float:
     """D(h) = int h |d3 h|^2, with negative nodal h clipped to zero.
 
     Clipping keeps the reported rate nonnegative when roundoff or a
-    regularized run lets a node dip below zero; pass clip_negative=False to
-    see the raw signed integrand.
+    regularized run lets a node dip below zero.
     """
     d3 = derivative(p.values, p.grid.dx, 3)
-    h = np.clip(p.values, 0.0, None) if clip_negative else p.values
+    h = np.clip(p.values, 0.0, None)
     return quadrature(h * d3 * d3, p.grid, rule)
 
 
@@ -169,7 +168,7 @@ def weak_residual(traj: "Trajectory", phi: SpaceTimeBump) -> float:
         raise ValueError("test function support exceeds the spatial domain")
     if not (times[0] < phi.t_center - phi.t_radius and phi.t_center + phi.t_radius < times[-1]):
         raise ValueError("test function support exceeds the trajectory time window")
-    rule = "simpson" if traj.config.simpson else "trapezoid"
+    rule = traj.config.rule
     x = grid.nodes
     integrand = np.empty(len(times))
     for j, (t, snap) in enumerate(zip(times, traj.snapshots)):

@@ -181,6 +181,13 @@ def quadrature(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
+def trapezoid_weights(grid: Grid) -> np.ndarray:
+    """Nodal weights of the trapezoid rule: dx inside, dx/2 at both ends."""
+    weights = np.full(grid.n, grid.dx)
+    weights[0] = weights[-1] = 0.5 * grid.dx
+    return weights
+
+
 def sobolev_norm(p: Profile, order: int, rule: str = "trapezoid") -> float:
     """Discrete H^k norm: sqrt(sum_{j<=k} ||d^j p||_L2^2), j = 0 term included."""
     if order < 0 or order > 5:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import CURVATURE_STENCIL, Grid
+from .grid import CURVATURE_STENCIL, Grid, trapezoid_weights
 from .steady import parabola, steady_profile
 
 
@@ -57,8 +57,7 @@ def project_boundary_rows(values: np.ndarray, grid: Grid, pressure: float) -> np
     _, _, vt = np.linalg.svd(rows)
     null = vt[-1]
     # minimize || vand (coeff_p + z null) ||_quadrature over scalar z
-    weights = np.full(grid.n, grid.dx)
-    weights[0] = weights[-1] = 0.5 * grid.dx
+    weights = trapezoid_weights(grid)
     qp = vand @ coeff_p
     qn = vand @ null
     denom = np.sum(weights * qn * qn)

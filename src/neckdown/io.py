@@ -39,8 +39,9 @@ def _g17(x: float) -> str:
 
 
 def _g17_row(values, sep: str = ",") -> str:
-    """One row of numbers, each as _g17 text, joined by sep."""
-    return sep.join(map(_g17, values))
+    """One row of numbers, each as _g17 text, joined by sep, in one format."""
+    vals = values.tolist() if isinstance(values, np.ndarray) else values
+    return sep.join(["%.17g"] * len(vals)) % tuple(vals)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -228,21 +229,35 @@ def config_to_dict(cfg: SolverConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(SolverConfig)}
 
 
+# JSON types each SolverConfig annotation accepts from a config file; bools
+# are ints to isinstance, so only bool fields take them
+_FILE_TYPES = {"bool": bool, "int": int, "float": (int, float)}
+
+
 def resolve_config(flags: dict, file_values: dict | None = None) -> SolverConfig:
     """Merge flag values over config-file values over dataclass defaults.
 
     flags maps field names to values or None (absent); file_values comes from
-    a JSON config file and may be None.  Unknown keys in the file are errors.
+    a JSON config file and may be None.  Unknown keys in the file, and values
+    whose type does not fit their field, are errors.
     """
-    known = {f.name for f in fields(SolverConfig)}
+    kinds = {f.name: f.type for f in fields(SolverConfig)}
     merged: dict = {}
     if file_values:
-        unknown = set(file_values) - known
+        unknown = set(file_values) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            kind = kinds[key]
+            if not isinstance(value, _FILE_TYPES[kind]) or (
+                isinstance(value, bool) and kind != "bool"
+            ):
+                raise ValueError(
+                    f"config file key {key!r} needs a {kind}, got {value!r}"
+                )
         merged.update(file_values)
     for key, value in flags.items():
-        if key in known and value is not None:
+        if key in kinds and value is not None:
             merged[key] = value
     if "pressure" not in merged:
         raise ValueError("pressure is required (flag --pressure or config file)")

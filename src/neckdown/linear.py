@@ -36,12 +36,11 @@ class BandedSystem:
     """Pentadiagonal system in LAPACK band storage.
 
     matrix has shape (5, n): row u + i - j holds entry (i, j) for
-    |i - j| <= 2 (u = 2).  bandwidth counts the stored diagonals.
+    |i - j| <= 2 (u = 2).
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    bandwidth: int
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return _band_product(self.matrix, x)
@@ -142,7 +141,7 @@ def assemble_operator(
     lo1 -= lo2                          # it takes its own diagonal
     lo1 *= scale
     np.multiply(scale, gm, out=lo2)     # (i, i-2) = scale * gm
-    return BandedSystem(matrix=ab, rhs=rhs, bandwidth=5)
+    return BandedSystem(matrix=ab, rhs=rhs)
 
 
 @lru_cache(maxsize=64)

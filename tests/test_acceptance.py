@@ -25,12 +25,12 @@ from neckdown.evolve import (
     relaxation_check,
     run,
 )
-from neckdown.functionals import energy, entropy, flux_identity_residual
-from neckdown.grid import Profile, h1_norm, make_grid
+from neckdown.functionals import energy, entropy
+from neckdown.grid import Profile, h1_norm
 from neckdown.initial import default_poly_amplitude, ic_steady_perturbed_poly
 from neckdown.io import RunManifest, execute_run, read_snapshots_jsonl
-from neckdown.linear import step_linear
 from neckdown.steady import steady_energy, steady_profile
+from neckdown.verify import eigenmode_amplitudes, energy_increments, flux_identity_residuals
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:
@@ -153,15 +153,7 @@ def test_01_steady_family_exactness(grid201, grid401):
 
 def test_02_flux_identity_refinement():
     t0 = time.perf_counter()
-    residuals = []
-    for n in (201, 401, 801):
-        grid = make_grid(n)
-        p = Profile(
-            grid=grid,
-            values=1.0 + 0.2 * np.sin(np.pi * grid.nodes),
-            pressure=1.0,
-        )
-        residuals.append(flux_identity_residual(p))
+    residuals = flux_identity_residuals((201, 401, 801))
     ratios = [residuals[0] / residuals[1], residuals[1] / residuals[2]]
     elapsed = time.perf_counter() - t0
 
@@ -179,21 +171,12 @@ def test_02_flux_identity_refinement():
 
 def test_03_linear_mode_decay_rates(grid401):
     t0 = time.perf_counter()
-    base = steady_profile(1.0, grid401).profile
-    mobility = np.ones(grid401.n)
     dt = 1e-5
     nsteps = 2000
     rel_errs = []
     rates = []
     for k in (1, 2, 3):
-        mode = np.sin(k * np.pi * (grid401.nodes + 1.0) / 2.0)
-        p = Profile(
-            grid=grid401, values=base.values + 1e-3 * mode, pressure=1.0
-        )
-        a0 = h1_norm(p.values - base.values, grid401)
-        for _ in range(nsteps):
-            p = step_linear(p, mobility, dt, 1.0).profile
-        a1 = h1_norm(p.values - base.values, grid401)
+        a0, a1 = eigenmode_amplitudes(grid401, k, dt, nsteps, measure=h1_norm)
         rate = np.log(a0 / a1) / (nsteps * dt)
         target = (k * np.pi / 2.0) ** 4
         rates.append(rate)
@@ -233,12 +216,12 @@ def test_04_energy_dissipation_suite(grid201):
         )
         h0 = _perturbed(pressure, grid201, default_poly_amplitude(pressure))
         traj = run(cfg, h0)
-        energies = np.array([row.energy for row in traj.ledger])
+        increments, drop = energy_increments(traj)
         dissip = np.array([row.dissipation for row in traj.ledger])
-        violation = float(np.maximum(np.diff(energies), 0.0).sum())
-        drop = float(energies[0] - energies[-1])
+        violation = float(np.maximum(increments, 0.0).sum())
+        drop = float(drop)
         cum = traj.ledger[-1].cumulative_dissipation
-        budget = 2.0 * (energies[0] - steady_energy(pressure))
+        budget = 2.0 * (traj.ledger[0].energy - steady_energy(pressure))
         case_ok = (
             traj.termination is expected_end
             and violation <= 0.01 * drop

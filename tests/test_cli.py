@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neckdown.cli import _solver_config, build_parser, main
 from neckdown.evolve import SolverConfig
@@ -16,6 +17,7 @@ from neckdown.io import (
     FLUX_HEADER,
     LEDGER_HEADER,
     RunManifest,
+    _g17_row,
     build_report,
     execute_run,
     load_checkpoint,
@@ -49,6 +51,31 @@ def test_import_loads_no_integrate_optimize_special_or_multiprocessing():
     assert out.stdout.split() == []
 
 
+FORMATTED_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(FORMATTED_FLOATS, max_size=40),
+    picard=st.integers(0, 12),
+    sep=st.sampled_from([",", ", "]),
+)
+def test_g17_row_matches_per_value_formatting(values, picard, sep):
+    """Generated domain: up to 40 finite doubles, with +-0, subnormals and
+    +-1e308 drawn often; as a float array, and as a ledger-style tuple of
+    numpy floats ending in an integer Picard count."""
+    def per_value(row):
+        return sep.join("%.17g" % x for x in row)
+
+    array = np.array(values, dtype=float)
+    assert _g17_row(array, sep) == per_value(array)
+    row = (*array, np.int64(picard))
+    assert _g17_row(row, sep) == per_value(row)
+
+
 def test_resolve_config_precedence():
     cfg = resolve_config({"pressure": None, "dt": None}, {"pressure": 1.0})
     assert cfg.pressure == 1.0 and cfg.dt == 1e-5      # file + default
@@ -60,6 +87,26 @@ def test_resolve_config_precedence():
         resolve_config({"pressure": 1.0}, {"presure": 1.0})
     with pytest.raises(ValueError, match="pressure is required"):
         resolve_config({"pressure": None}, {"dt": 1e-4})
+
+
+@pytest.mark.parametrize(
+    "file_values",
+    [
+        {"pressure": None},
+        {"pressure": "1.5"},
+        {"pressure": 1.5, "n": 201.0},
+        {"pressure": True},
+    ],
+)
+def test_cli_config_file_value_of_the_wrong_type_exits_two(tmp_path, capsys, file_values):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(file_values))
+    rc = main(["run", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    bad_key = "n" if "n" in file_values else "pressure"
+    assert f"config file key {bad_key!r}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_rejects_unknown_family(tmp_path):
@@ -438,11 +485,12 @@ def test_cli_continuation_writes_pairs(tmp_path, capsys):
     assert saved["pairs"][0]["max_sup_diff"] > 0.0
 
 
-def test_cli_verify_quick(capsys):
-    rc = main(["verify", "--quick"])
+def test_cli_verify(capsys):
+    rc = main(["verify"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 7
+    assert all(row.split()[1] == "PASS" for row in rows)
 
 
 def test_cli_default_out_dir_from_environment(tmp_path, monkeypatch, capsys):

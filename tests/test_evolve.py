@@ -1,10 +1,13 @@
 """Tests for the nonlinear stepper, run loop, and trajectory diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neckdown.grid import Profile, h1_norm, make_grid
-from neckdown.initial import ic_steady_perturbed_poly
+from neckdown.initial import ic_steady_perturbed_poly, project_boundary_rows
 from neckdown.steady import contact_point, parabola, steady_profile
 from neckdown.evolve import (
     PicardConvergenceError,
@@ -20,6 +23,7 @@ from neckdown.evolve import (
     run,
     step_nonlinear,
 )
+from neckdown.verify import energy_increments, steady_drift, symmetry_defect
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +112,10 @@ def test_config_validation():
     assert SolverConfig(pressure=1.0, simpson=True).rule == "simpson"
 
 
-def test_steady_profile_is_fixed_point_of_nonlinear_step(grid, steady_p1):
-    cfg = SolverConfig(pressure=1.0, dt=1e-4, epsilon=1e-2)
-    result, iters = step_nonlinear(steady_p1, cfg)
+def test_steady_profile_is_fixed_point_of_nonlinear_step():
+    drift, iters = steady_drift(SolverConfig(pressure=1.0, dt=1e-4, epsilon=1e-2))
     assert iters == 1
-    assert np.max(np.abs(result.profile.values - steady_p1.values)) < 1e-11
+    assert drift < 1e-11
 
 
 def test_perturbed_step_converges_fast_and_contracts(grid, steady_p1):
@@ -201,11 +204,10 @@ def test_run_ledger_and_snapshot_alignment(short_traj):
 
 
 def test_run_energy_ledger_is_monotone_and_balanced(short_traj):
-    E = np.array([row.energy for row in short_traj.ledger])
+    increments, drop = energy_increments(short_traj)
     C = np.array([row.cumulative_dissipation for row in short_traj.ledger])
-    assert np.all(np.diff(E) <= 1e-14)
+    assert np.all(increments <= 1e-14)
     assert np.all(np.diff(C) >= 0.0)
-    drop = E[0] - E[-1]
     assert drop > 0
     # midpoint-rule time integral of the dissipation tracks the energy drop
     assert abs(drop - C[-1]) < 1e-2 * drop
@@ -268,13 +270,109 @@ def test_restart_matches_unsplit_run_exactly(short_traj):
     assert second.snapshot_steps[-1] == traj.snapshot_steps[-1]
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([51, 201]),
+    pressure=st.floats(0.5, 1.5),
+    epsilon=st.one_of(st.just(0.0), st.floats(1e-3, 1e-1)),
+    log_dt=st.floats(-5.0, -2.0),
+    amplitude=st.floats(0.0, 0.05),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+def test_even_data_stays_even(n, pressure, epsilon, log_dt, amplitude, coeffs):
+    """Generated domain: n in {51, 201}, P in [0.5, 1.5], epsilon 0 or in
+    [1e-3, 1e-1], dt = 10**U(-5, -2), and the parabola plus amplitude *
+    sum_j c_j cos((2j + 1) pi x / 2), j = 0..2, with amplitude in [0, 0.05]
+    and each c_j in [-1, 1], projected onto the boundary rows; five steps,
+    every one a snapshot, each within verify's symmetry bound."""
+    grid = make_grid(n)
+    x = grid.nodes
+    raw = parabola(pressure, grid)
+    for j, c in enumerate(coeffs):
+        raw += amplitude * c * np.cos((2 * j + 1) * np.pi * x / 2.0)
+    h0 = Profile(
+        grid=grid, values=project_boundary_rows(raw, grid, pressure), pressure=pressure
+    )
+    dt = 10.0**log_dt
+    cfg = SolverConfig(
+        pressure=pressure, n=n, dt=dt, t_final=5 * dt, epsilon=epsilon, output_every=1
+    )
+    traj = run(cfg, h0)
+    assert traj.termination is Termination.REACHED_T_FINAL
+    assert len(traj.snapshots) == 6
+    assert max(symmetry_defect(s.values) for s in traj.snapshots) <= 1e-9
+
+
+def whole_and_resumed(split, pressure, epsilon, dt):
+    """A 20-step run on 51 nodes from the perturbed parabola (amplitude
+    0.05), and its second leg resumed at step split from the first leg's
+    last state and ledger row."""
+    grid = make_grid(51)
+    h0 = Profile(
+        grid=grid, values=ic_steady_perturbed_poly(pressure, grid, 0.05), pressure=pressure
+    )
+    cfg = SolverConfig(pressure=pressure, n=51, dt=dt, t_final=20 * dt, epsilon=epsilon)
+    first = run(replace(cfg, t_final=split * dt), h0)
+    start = RunStart(
+        time=first.ledger[-1].time,
+        step=split,
+        cumulative_dissipation=first.ledger[-1].cumulative_dissipation,
+    )
+    return run(cfg, h0), run(cfg, first.final, start=start)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    split=st.integers(1, 19),
+    pressure=st.floats(0.5, 1.9),
+    epsilon=st.one_of(st.just(0.0), st.floats(1e-3, 1e-1)),
+    log_dt=st.floats(-5.0, -3.0),
+)
+def test_restart_at_a_generated_step_matches_unsplit_run(split, pressure, epsilon, log_dt):
+    """Generated domain: split at step 1..19 of whole_and_resumed's run, P in
+    [0.5, 1.9], epsilon 0 or in [1e-3, 1e-1] and dt = 10**U(-5, -3). The
+    resumed leg repeats the unsplit run's last state, Picard counts and
+    ledger energies and dissipations bit for bit; its times are the subject
+    of the next test."""
+    whole, second = whole_and_resumed(split, pressure, epsilon, 10.0**log_dt)
+    assert second.termination is whole.termination is Termination.REACHED_T_FINAL
+    assert second.final.values.tobytes() == whole.final.values.tobytes()
+    assert np.array_equal(second.picard_iters[1:], whole.picard_iters[split + 1 :])
+    for a, b in zip(second.ledger[1:], whole.ledger[split + 1 :], strict=True):
+        assert (a.energy, a.dissipation, a.cumulative_dissipation) == (
+            b.energy, b.dissipation, b.cumulative_dissipation
+        )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "a resumed run stamps step k with t_split + (k - split) dt and the "
+        "unsplit run with k dt, which can differ in the last bits: split at "
+        "step 1 with dt = 1e-3 stamps step 10 with 0.010000000000000002 "
+        "against 0.01"
+    ),
+)
+def test_resumed_ledger_times_match_unsplit_run():
+    whole, second = whole_and_resumed(1, 1.0, 0.0, 1e-3)
+    assert [r.time for r in second.ledger[1:]] == [r.time for r in whole.ledger[2:]]
+
+
 def test_pinch_run_stops_near_lower_contact_point(pinch_traj):
+    """The data are even, so the two mirror minima reach the floor together
+    and roundoff picks the side: the pinch lies near one of the contact
+    points +-x_c, and h agrees at the mirror node of x_pinch."""
     traj = pinch_traj
     assert traj.termination is Termination.PINCH_DETECTED
     report = detect_pinch(traj)
     assert report.pinched
     assert 0.05 < report.t_pinch < 0.1
-    assert abs(report.x_pinch - (-contact_point(4.0))) < 0.15
+    x_c = contact_point(4.0)
+    assert min(abs(report.x_pinch - x_c), abs(report.x_pinch + x_c)) < 0.15
+    final = traj.final.values
+    i = int(np.flatnonzero(traj.grid.nodes == report.x_pinch)[0])
+    assert abs(final[i] - final[-1 - i]) <= 1e-8 * final[i]
+    assert max(symmetry_defect(s.values) for s in traj.snapshots) <= 1e-9
     assert report.log_slope < 0.0
     assert len(report.tail_times) == 50
     assert len(detect_pinch(traj, tail_length=30).tail_times) == 30

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from neckdown.grid import make_grid
 from neckdown.initial import (
@@ -16,7 +17,9 @@ from neckdown.initial import (
     ic_steady_perturbed_random,
     project_boundary_rows,
 )
+from neckdown.evolve import CURVATURE_ROW_TOL, VALUE_ROW_TOL
 from neckdown.steady import parabola, steady_profile
+from neckdown.verify import symmetry_defect
 
 
 def test_steady_parabola_satisfies_boundary_rows(grid201):
@@ -41,7 +44,61 @@ def test_projection_repairs_all_four_rows(grid201):
 def test_projection_keeps_even_data_even(grid201):
     raw = parabola(1.0, grid201) + 0.1 * (1.0 - grid201.nodes**2) ** 2
     proj = project_boundary_rows(raw, grid201, 1.0)
-    assert np.max(np.abs(proj - proj[::-1])) < 1e-12
+    assert symmetry_defect(proj) < 1e-12
+
+
+def assert_within_run_tolerances(values, grid, pressure):
+    """The boundary-row checks that run applies to its initial data."""
+    res = bc_residuals(values, grid, pressure)
+    assert max(abs(res[0]), abs(res[3])) <= VALUE_ROW_TOL
+    assert max(abs(res[1]), abs(res[2])) <= CURVATURE_ROW_TOL * max(1.0, pressure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([9, 201, 801]),
+    pressure=st.floats(0.01, 10.0),
+    bump=st.floats(0.0, 10.0),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+)
+def test_projection_meets_the_run_tolerances_on_smooth_data(n, pressure, bump, coeffs):
+    """Generated domain: n in {9, 201, 801}, P in [0.01, 10], and the
+    parabola plus bump * (1 - x^2)^2 plus sum_m c_m sin(m pi (x + 1) / 2),
+    m = 1..5, with bump in [0, 10] and each c_m in [-1, 1]: the shapes
+    the initial-data families project."""
+    grid = make_grid(n)
+    x = grid.nodes
+    raw = parabola(pressure, grid) + bump * (1.0 - x * x) ** 2
+    for m, c in enumerate(coeffs, start=1):
+        raw += c * np.sin(m * np.pi * (x + 1.0) / 2.0)
+    assert_within_run_tolerances(project_boundary_rows(raw, grid, pressure), grid, pressure)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the constraint rows apply the 1/dx^2 curvature stencil to the "
+        "monomials 1, x, .., x^4, which loses about eps n^2 of each entry, so "
+        "the correction misses the curvature rows by about that fraction of "
+        "the data's own curvature defect: over 200 seeds the worst curvature "
+        "row defect is 1.8e-6 at n=201 with noise of scale 10 and 8.2e-6 at "
+        "n=801 with noise of scale 0.1, both above CURVATURE_ROW_TOL = 1e-6"
+    ),
+)
+@settings(max_examples=60, deadline=None)
+@example(n=201, pressure=1.0, scale=7.0, seed=3)
+@given(
+    n=st.sampled_from([9, 201, 801]),
+    pressure=st.floats(0.01, 10.0),
+    scale=st.floats(0.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projection_meets_the_run_tolerances_on_rough_data(n, pressure, scale, seed):
+    """Generated domain: n in {9, 201, 801}, P in [0.01, 10], and nodal
+    values scale * N(0, 1) with scale in [0, 100]."""
+    grid = make_grid(n)
+    raw = scale * np.random.default_rng(seed).standard_normal(n)
+    assert_within_run_tolerances(project_boundary_rows(raw, grid, pressure), grid, pressure)
 
 
 def test_projection_is_identity_on_compatible_data(grid201):

@@ -9,7 +9,7 @@ from neckdown.evolve import VALUE_ROW_TOL
 from neckdown.grid import CURVATURE_STENCIL as _BC_LEFT, Profile, h1_norm, make_grid
 from neckdown.functionals import energy
 from neckdown import linear
-from neckdown.initial import build_initial_condition
+from neckdown.initial import build_initial_condition, project_boundary_rows
 from neckdown.linear import (
     RESIDUAL_RTOL,
     BandedSystem,
@@ -21,23 +21,15 @@ from neckdown.linear import (
     step_linear,
 )
 from neckdown.steady import steady_profile
+from neckdown.verify import eigenmode_amplitudes, mass_telescoping_defect, mode_shape
 
 MODE_RATE = (np.pi / 2.0) ** 4
 
 
-def mode_shape(grid, k):
-    return np.sin(k * np.pi * (grid.nodes + 1.0) / 2.0)
-
-
-def trapezoid_weights(grid):
-    w = np.full(grid.n, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
-    return w
-
-
-def mode_amplitude(values, base, grid, k):
-    w = trapezoid_weights(grid)
-    return float(np.sum(w * (values - base) * mode_shape(grid, k)))
+def perturbed_state(grid):
+    """The P = 1 parabola plus 1e-2 times eigenmode 1."""
+    base = steady_profile(1.0, grid).profile.values
+    return Profile(grid=grid, values=base + 1e-2 * mode_shape(grid, 1), pressure=1.0)
 
 
 def test_constant_mobility_reduces_to_biharmonic_rows(grid201):
@@ -51,7 +43,6 @@ def test_constant_mobility_reduces_to_biharmonic_rows(grid201):
     assert ab[2, i] == pytest.approx(1.0 + 6.0 * scale)
     assert ab[3, i - 1] == pytest.approx(-4.0 * scale)
     assert ab[4, i - 2] == pytest.approx(scale)
-    assert system.bandwidth == 5
 
 
 def test_boundary_rows_pin_values_and_curvature(grid201):
@@ -135,12 +126,9 @@ def test_parabola_is_fixed_point_for_any_mobility(grid201):
 
 
 def test_step_enforces_boundary_conditions(grid201):
-    base = steady_profile(1.0, grid201).profile.values
     rng = np.random.default_rng(3)
     g = 0.5 + rng.random(grid201.n)
-    h = Profile(
-        grid=grid201, values=base + 1e-2 * mode_shape(grid201, 1), pressure=1.0
-    )
+    h = perturbed_state(grid201)
     out = step_linear(h, g, 1e-5, 1.0)
     v = out.profile.values
     dx = grid201.dx
@@ -151,10 +139,7 @@ def test_step_enforces_boundary_conditions(grid201):
 
 
 def test_step_residual_gate(grid201):
-    base = steady_profile(1.0, grid201).profile.values
-    h = Profile(
-        grid=grid201, values=base + 1e-2 * mode_shape(grid201, 1), pressure=1.0
-    )
+    h = perturbed_state(grid201)
     out = step_linear(h, np.ones(grid201.n), 1e-5, 1.0)
     assert out.solver_residual <= 1e-9 * max(1.0, out.rhs_norm)
     assert out.backward_error <= RESIDUAL_RTOL
@@ -163,32 +148,19 @@ def test_step_residual_gate(grid201):
 
 def test_single_step_mode_decay_factors(grid201):
     """One backward Euler step damps eigenmode k by 1/(1 + dt (k pi/2)^4)."""
-    base = steady_profile(1.0, grid201).profile.values
-    ones = np.ones(grid201.n)
     dt = 1e-3
     for k, rtol in ((1, 1e-4), (2, 1e-3)):
-        h = Profile(
-            grid=grid201, values=base + 1e-3 * mode_shape(grid201, k), pressure=1.0
-        )
-        out = step_linear(h, ones, dt, 1.0)
-        a0 = mode_amplitude(h.values, base, grid201, k)
-        a1 = mode_amplitude(out.profile.values, base, grid201, k)
+        a0, a1 = eigenmode_amplitudes(grid201, k, dt, 1)
         expected = 1.0 / (1.0 + dt * k**4 * MODE_RATE)
         assert a1 / a0 == pytest.approx(expected, rel=rtol)
 
 
 def test_crank_nicolson_amplification_is_second_order(grid201):
-    base = steady_profile(1.0, grid201).profile.values
-    ones = np.ones(grid201.n)
     dt = 1e-2
-    h = Profile(
-        grid=grid201, values=base + 1e-3 * mode_shape(grid201, 1), pressure=1.0
-    )
-    cn_out = step_linear(h, ones, dt, 1.0, crank_nicolson=True)
-    be_out = step_linear(h, ones, dt, 1.0)
-    a0 = mode_amplitude(h.values, base, grid201, 1)
-    cn_meas = mode_amplitude(cn_out.profile.values, base, grid201, 1) / a0
-    be_meas = mode_amplitude(be_out.profile.values, base, grid201, 1) / a0
+    a0, a1_cn = eigenmode_amplitudes(grid201, 1, dt, 1, crank_nicolson=True)
+    _, a1_be = eigenmode_amplitudes(grid201, 1, dt, 1)
+    cn_meas = a1_cn / a0
+    be_meas = a1_be / a0
     z = dt * MODE_RATE
     assert cn_meas == pytest.approx((1.0 - z / 2.0) / (1.0 + z / 2.0), rel=1e-4)
     assert be_meas == pytest.approx(1.0 / (1.0 + z), rel=1e-4)
@@ -200,29 +172,51 @@ def test_interior_mass_telescopes_to_boundary_fluxes(grid201):
     """Conservative form: interior mass change equals dt times the net flux
     through the outermost interior faces, computed with the same frozen
     mobility the solve used."""
-    base = steady_profile(1.0, grid201).profile.values
-    h = Profile(
-        grid=grid201, values=base + 1e-2 * mode_shape(grid201, 1), pressure=1.0
-    )
-    g = np.sqrt(h.values**2 + 1e-4)
-    dt = 1e-5
-    out = step_linear(h, g, dt, 1.0)
-    hn = out.profile.values
-    dx = grid201.dx
-    g_face = 0.5 * (g[:-1] + g[1:])
-    d3_face = (-hn[:-3] + 3.0 * hn[1:-2] - 3.0 * hn[2:-1] + hn[3:]) / dx**3
-    w_face = g_face[1:-1] * d3_face
-    dmass = dx * np.sum(hn[2:-2] - h.values[2:-2])
-    assert abs(dmass + dt * (w_face[-1] - w_face[0])) < 1e-10
+    h = perturbed_state(grid201)
+    defect, _ = mass_telescoping_defect(h, np.sqrt(h.values**2 + 1e-4), 1e-5)
+    assert defect < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([9, 201, 801]),
+    g_lo=st.floats(1e-4, 3.0),
+    g_hi=st.floats(1e-4, 3.0),
+    log_dt=st.floats(-7.0, -2.0),
+    pressure=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interior_mass_telescopes_on_generated_steps(n, g_lo, g_hi, log_dt, pressure, seed):
+    """Generated domain: n in {9, 201, 801}; mobility uniform on [g_lo, g_hi]
+    within [1e-4, 3]; dt = 10**U(-7, -2); P in [0.5, 4]; data 1 + 0.1 N(0, 1)
+    per node, projected onto the four boundary rows.
+
+    The defect is dx times the sum of the step's residuals over rows
+    2..n-3. The backward-error gate holds each below
+    RESIDUAL_RTOL (||A|| ||h1|| + ||b||) in the infinity norm, and
+    (n-4) dx = 2 - 6/(n-1), which leaves 6/(n-1) of the bound below for the
+    rounding of the defect's own sums."""
+    grid = make_grid(n)
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
+    dt = 10.0**log_dt
+    values = project_boundary_rows(1.0 + 0.1 * rng.standard_normal(n), grid, pressure)
+    h = Profile(grid=grid, values=values, pressure=pressure)
+    defect, _ = mass_telescoping_defect(h, g, dt)
+    out = step_linear(h, g, dt, pressure)
+    system = assemble_operator(g, grid, dt, pressure)
+    rhs = system.rhs
+    rhs[2:-2] = h.values[2:-2]
+    a_norm = np.max(np.abs(band_to_dense(system.matrix)).sum(axis=1))
+    x_norm = np.max(np.abs(out.profile.values))
+    assert defect <= 2.0 * RESIDUAL_RTOL * (a_norm * x_norm + np.max(np.abs(rhs)))
 
 
 def test_repeated_steps_dissipate_energy_and_contract(grid201):
     rng = np.random.default_rng(3)
     g = 0.5 + rng.random(grid201.n)
     base = steady_profile(1.0, grid201).profile.values
-    h = Profile(
-        grid=grid201, values=base + 1e-2 * mode_shape(grid201, 1), pressure=1.0
-    )
+    h = perturbed_state(grid201)
     e_prev = energy(h, 1.0)
     d_prev = h1_norm(h.values - base, grid201)
     for _ in range(20):
@@ -244,11 +238,8 @@ def test_flux_report_vanishes_on_steady_state(grid201):
 
 
 def test_flux_report_norm_decays_for_constant_mobility(grid201):
-    base = steady_profile(1.0, grid201).profile.values
     ones = np.ones(grid201.n)
-    prev = Profile(
-        grid=grid201, values=base + 1e-2 * mode_shape(grid201, 1), pressure=1.0
-    )
+    prev = perturbed_state(grid201)
     norms = []
     for k in range(6):
         cur = step_linear(prev, ones, 1e-4, 1.0).profile
@@ -259,13 +250,10 @@ def test_flux_report_norm_decays_for_constant_mobility(grid201):
 
 
 def test_flux_report_residual_is_first_order_in_dt(grid201):
-    base = steady_profile(1.0, grid201).profile.values
     ones = np.ones(grid201.n)
     residuals = []
     for dt in (2e-4, 1e-4, 5e-5):
-        h = Profile(
-            grid=grid201, values=base + 1e-2 * mode_shape(grid201, 1), pressure=1.0
-        )
+        h = perturbed_state(grid201)
         r1 = step_linear(h, ones, dt, 1.0)
         r2 = step_linear(r1.profile, ones, dt, 1.0)
         rep = flux_energy_report(r2.profile, ones, r1.profile, ones, dt)
@@ -327,7 +315,7 @@ def test_condition_estimate_matches_dense_condition_number(n, dt):
 
 def test_condition_estimate_of_singular_band_is_inf():
     n = 201
-    system = BandedSystem(matrix=np.zeros((5, n)), rhs=np.zeros(n), bandwidth=5)
+    system = BandedSystem(matrix=np.zeros((5, n)), rhs=np.zeros(n))
     assert condition_estimate(system) == np.inf
 
 
@@ -365,11 +353,6 @@ def test_right_value_row_is_exact():
 def test_left_value_row_stays_within_restore_tolerance():
     left, _ = value_row_defects(17)
     assert np.max(left) <= VALUE_ROW_TOL
-
-
-def perturbed_state(grid):
-    base = steady_profile(1.0, grid).profile.values
-    return Profile(grid=grid, values=base + 1e-2 * mode_shape(grid, 1), pressure=1.0)
 
 
 def test_gate_rejects_non_finite_solution(grid201, monkeypatch):
