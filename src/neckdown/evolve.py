@@ -2,9 +2,11 @@
 
 Each step freezes the mobility at the current Picard iterate, g = sqrt(h^2 +
 eps^2) (or a floored copy of h when eps = 0), solves the implicit linear
-problem, and repeats until the iterates settle in H^1.  Runs log an energy
-ledger every step and snapshots on a stride, and stop on reaching the final
-time, on the minimum height crossing the pinch floor, or on failure.
+problem, and repeats until the iterates settle in H^1.  The first iterate is
+extrapolated from the last accepted states, so a smooth run usually settles
+after one solve.  Runs log an energy ledger every step and snapshots on a
+stride, and stop on reaching the final time, on the minimum height crossing
+the pinch floor, or on failure.
 """
 
 from __future__ import annotations
@@ -88,11 +90,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RunStart:
-    """Restart offsets (checkpoint restore); zeros for a fresh run."""
+    """Restart offsets (checkpoint restore); zeros for a fresh run.
+
+    history holds the values of up to two accepted states before the start
+    state, oldest first: the Picard predictor's input, so that a resumed run
+    repeats the unsplit run bit for bit.
+    """
 
     time: float = 0.0
     step: int = 0
     cumulative_dissipation: float = 0.0
+    history: tuple[np.ndarray, ...] = ()
 
 
 @dataclass
@@ -111,6 +119,7 @@ class Trajectory:
     failure_message: str | None = None
     flux_reports: list[FluxEnergyReport] = field(default_factory=list)
     max_solver_residual: float = 0.0
+    history: tuple[np.ndarray, ...] = ()  # the RunStart.history of a continuation
 
     @property
     def final(self) -> Profile:
@@ -123,12 +132,30 @@ def _mobility(values: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     return np.maximum(values, cfg.pinch_floor / 10.0)
 
 
-def step_nonlinear(h_old: Profile, cfg: SolverConfig) -> tuple[StepResult, int]:
+def _predictor(values: np.ndarray, history: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The polynomial through the accepted states, oldest first in history
+    and values last, extrapolated one step: 3h^n - 3h^(n-1) + h^(n-2),
+    2h^n - h^(n-1), or h^n itself without history."""
+    if not history:
+        return values
+    if len(history) == 1:
+        return 2.0 * values - history[0]
+    older, old = history
+    return 3.0 * values - 3.0 * old + older
+
+
+def step_nonlinear(
+    h_old: Profile, cfg: SolverConfig, history: tuple[np.ndarray, ...] = ()
+) -> tuple[StepResult, int]:
     """One implicit step with coefficient-lagged fixed-point iteration.
 
-    Returns the accepted step and the number of iterations used.  Raises
-    PicardConvergenceError when picard_max iterations do not settle to
-    picard_tol relative in H^1, and LinearSolveError on solver trouble.
+    The iteration starts from the extrapolation of h_old through history,
+    the values of up to two accepted states before h_old, oldest first; the
+    stop test compares successive iterates whatever the start.  Returns the
+    accepted step and the number of iterations used (one banded solve
+    each).  Raises PicardConvergenceError when picard_max iterations do not
+    settle to picard_tol relative in H^1, and LinearSolveError on solver
+    trouble.
     """
     grid = h_old.grid
     if cfg.epsilon == 0.0 and h_old.values.min() <= cfg.pinch_floor:
@@ -136,7 +163,7 @@ def step_nonlinear(h_old: Profile, cfg: SolverConfig) -> tuple[StepResult, int]:
             "unregularized step requires min(h) above the pinch floor"
         )
     scale = h1_norm(h_old.values, grid)
-    prev = h_old.values
+    prev = _predictor(h_old.values, history)
     result = None
     for iteration in range(1, cfg.picard_max + 1):
         g = _mobility(prev, cfg)
@@ -153,7 +180,9 @@ def step_nonlinear(h_old: Profile, cfg: SolverConfig) -> tuple[StepResult, int]:
     )
 
 
-def _validate_initial(h0: Profile, cfg: SolverConfig) -> None:
+def _validate_initial(h0: Profile, cfg: SolverConfig, fresh: bool) -> None:
+    """Boundary rows for every start state; strict positivity only for fresh
+    initial data, since a restored state is whatever the run reached."""
     if h0.grid.n != cfg.n:
         raise ValueError(
             f"initial data lives on {h0.grid.n} nodes, config wants {cfg.n}"
@@ -170,13 +199,18 @@ def _validate_initial(h0: Profile, cfg: SolverConfig) -> None:
             f"initial data violates the curvature rows (defects {res[1]:.3e}, "
             f"{res[2]:.3e}); project it onto the boundary rows first"
         )
-    if float(np.min(h0.values)) <= 0.0:
+    if fresh and float(np.min(h0.values)) <= 0.0:
         raise ValueError("initial data must be strictly positive")
 
 
 def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajectory:
-    """Advance the model from h0 until t_final, the pinch floor, or failure."""
-    _validate_initial(h0, cfg)
+    """Advance the model from h0 until t_final, the pinch floor, or failure.
+
+    Without start, h0 is fresh initial data at step 0; with it, h0 is a
+    restored state and start.history seeds the Picard predictor.  Step k is
+    stamped with time k * dt either way.
+    """
+    _validate_initial(h0, cfg, fresh=start is None)
     grid = h0.grid
     start = start or RunStart()
     if h0.pressure != cfg.pressure:
@@ -210,6 +244,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     termination = None
     failure_message = None
 
+    history = start.history
     k = start.step
     if cfg.pinch_floor > 0.0 and h_m <= cfg.pinch_floor:
         termination = Termination.PINCH_DETECTED
@@ -218,7 +253,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
             termination = Termination.REACHED_T_FINAL
             break
         try:
-            result, iters = step_nonlinear(h, cfg)
+            result, iters = step_nonlinear(h, cfg, history)
         except PicardConvergenceError as exc:
             termination = Termination.PICARD_FAILURE
             failure_message = str(exc)
@@ -228,7 +263,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
             failure_message = str(exc)
             break
         k += 1
-        t_new = start.time + (k - start.step) * cfg.dt
+        t_new = k * cfg.dt
         h_new = result.profile
         max_residual = max(max_residual, result.solver_residual)
 
@@ -260,6 +295,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
                     time=t_new,
                 )
             )
+        history = (*history[-1:], h.values)
         h = h_new
         if k % cfg.output_every == 0:
             snapshots.append(h)
@@ -287,6 +323,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         failure_message=failure_message,
         flux_reports=flux_rows,
         max_solver_residual=max_residual,
+        history=history,
     )
 
 

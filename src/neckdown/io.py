@@ -193,18 +193,22 @@ def write_report_json(report: dict, path: Path) -> None:
 
 
 def write_checkpoint(traj: Trajectory, path: Path) -> None:
-    """Final state of a run, sufficient to continue it bit for bit."""
+    """Final state of a run and the (up to two) accepted states before it,
+    which seed the Picard predictor: enough to continue the run bit for bit."""
     state = {
         "config": _jsonable(config_to_dict(traj.config)),
         "step": int(traj.snapshot_steps[-1]),
         "time": traj.ledger[-1].time,
         "cumulative_dissipation": traj.ledger[-1].cumulative_dissipation,
         "values": [float(v) for v in traj.final.values],
+        "history": [[float(v) for v in row] for row in traj.history],
     }
     _write_atomic(path, json.dumps(state) + "\n")
 
 
 def load_checkpoint(path: Path, cfg: SolverConfig) -> tuple[Profile, RunStart]:
+    """The state and restart offsets a checkpoint holds; a checkpoint
+    without history restarts the predictor from the state alone."""
     state = json.loads(Path(path).read_text())
     saved = state["config"]
     for key in ("n", "pressure", "dt"):
@@ -217,10 +221,20 @@ def load_checkpoint(path: Path, cfg: SolverConfig) -> tuple[Profile, RunStart]:
     profile = Profile(
         grid=grid, values=np.asarray(state["values"], dtype=float), pressure=cfg.pressure
     )
+    rows = state.get("history", [])
+    if not isinstance(rows, list) or len(rows) > 2:
+        raise ValueError("checkpoint history must be a list of at most 2 states")
+    history = []
+    for row in rows:
+        try:
+            history.append(Profile(grid=grid, values=row, pressure=cfg.pressure).values)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint history: {exc}") from None
     start = RunStart(
         time=float(state["time"]),
         step=int(state["step"]),
         cumulative_dissipation=float(state["cumulative_dissipation"]),
+        history=tuple(history),
     )
     return profile, start
 

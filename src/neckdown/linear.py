@@ -5,9 +5,12 @@ discretization of d/dx (g * d3 h): face fluxes g_{i+1/2} * D3_face with
 D3_face the 4-node third difference, differenced back to nodes.  Rows 0 and
 n-1 pin the boundary values to 1; rows 1 and n-2 impose the curvature
 condition d2 h = P through one-sided 4-node stencils, which keeps the matrix
-pentadiagonal.  The solve is one banded LU with partial pivoting: LAPACK
-gbtrf factors, gbtrs solves, and gbcon estimates the condition number from
-the same factors when a solve is rejected.
+pentadiagonal.  The solve sets the two known values and eliminates them:
+columns 0 and n-1 move into the rhs, and rows and columns 1..n-2, still a
+(2, 2) band, go through one banded LU with partial pivoting.  LAPACK gbtrf
+factors, gbtrs solves, and gbcon estimates the condition number from the
+same factors when a solve is rejected.  The backward-error gate tests the
+full system.
 """
 
 from __future__ import annotations
@@ -218,13 +221,21 @@ def step_linear(
         rhs[2:-2] -= dt_eff * apply_interior_operator(mobility, grid, h_old.values)[2:-2]
 
     ab = system.matrix
-    lu, ipiv, info = _factor(ab)
+    # h(-1) = h(1) = 1 (rhs rows 0 and n-1): move columns 0 and n-1 into the
+    # rhs of rows 1, 2 and n-3, n-2, so that no row swap mixes a value row
+    # into the LU of the rows and columns 1..n-2 between them
+    inner = ab[:, 1:-1]
+    new_values = rhs.copy()
+    b = new_values[1:-1]
+    b[:2] -= ab[3:, 0]              # entries (1, 0), (2, 0)
+    b[-2:] -= ab[:2, -1]            # entries (n-3, n-1), (n-2, n-1)
+    lu, ipiv, info = _factor(inner)
     if info > 0:
         raise LinearSolveError(
             f"banded solve failed (condition estimate inf): singular matrix, "
             f"zero pivot in column {info}"
         )
-    new_values, _ = dgbtrs(lu, _KL, _KU, rhs, ipiv)
+    b[:] = dgbtrs(lu, _KL, _KU, b, ipiv)[0]
 
     a_norm = float(_row_sums(np.abs(ab)).max())
     r = _band_product(ab, new_values)
@@ -234,7 +245,7 @@ def step_linear(
     x_norm = float(np.abs(new_values).max())
     backward = residual / (a_norm * x_norm + rhs_norm)
     if not math.isfinite(backward) or backward > RESIDUAL_RTOL:
-        cond = _condition(ab, lu, ipiv)
+        cond = _condition(inner, lu, ipiv)
         raise LinearSolveError(
             f"backward error {backward:.3e} exceeds {RESIDUAL_RTOL:.0e} "
             f"(residual {residual:.3e}, condition estimate {cond:.3e})"

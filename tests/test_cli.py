@@ -236,8 +236,48 @@ def test_checkpoint_roundtrip_and_mismatch(tmp_path):
     assert start.step == int(traj.snapshot_steps[-1])
     assert start.time == traj.ledger[-1].time
     assert start.cumulative_dissipation == traj.ledger[-1].cumulative_dissipation
+    assert len(traj.history) == len(start.history) == 2
+    for saved, restored in zip(traj.history, start.history):
+        assert restored.tobytes() == saved.tobytes()
     with pytest.raises(ValueError, match="does not match config"):
         load_checkpoint(manifest.checkpoint, quick_config(dt=5e-5))
+
+
+def test_checkpoint_history_is_optional_and_checked(tmp_path, capsys):
+    """A checkpoint without history restarts the predictor from the state
+    alone; a history row of the wrong length, a non-finite or non-numeric
+    one, a third row or a history that is no list makes --restore exit 2."""
+    cfg = quick_config()
+    path = tmp_path / "state.json"
+    execute_run(
+        RunManifest(
+            config=cfg,
+            initial_condition="steady-perturbed-poly:0.05",
+            out_dir=tmp_path / "run",
+            checkpoint=path,
+        )
+    )
+    state = json.loads(path.read_text())
+    bare = {k: v for k, v in state.items() if k != "history"}
+    path.write_text(json.dumps(bare))
+    assert load_checkpoint(path, cfg)[1].history == ()
+
+    argv = ["run", "--pressure", "1.5", "--dt", "1e-4", "--epsilon", "1e-2",
+            "--t-final", "0.02", "--out-dir", str(tmp_path / "resumed"),
+            "--restore", str(path)]
+    assert main(argv) == 0
+    row = state["history"][0]
+    for history, message in (
+        ([row[:-1], row], "checkpoint history: profile has"),
+        ([row, [float("nan")] + row[1:]], "checkpoint history: profile values must be finite"),
+        ([row, {"values": row}], "checkpoint history: float() argument"),
+        ([row, row, row], "a list of at most 2 states"),
+        (row[0], "a list of at most 2 states"),
+    ):
+        path.write_text(json.dumps({**state, "history": history}))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_split_run_continues_bit_for_bit(tmp_path):
@@ -532,3 +572,21 @@ def test_cli_checkpoint_restore_roundtrip(tmp_path):
     report = json.loads((tmp_path / "b" / "report.json").read_text())
     assert report["t_end"] == pytest.approx(0.01)
     assert report["steps"] == 100
+
+
+def test_cli_restores_a_checkpoint_whose_film_went_negative(tmp_path):
+    """At P = 4 with eps = 1e-3 and no pinch floor, h_min first goes
+    nonpositive at t = 0.0812 and the run goes on.  Its checkpoint at
+    t = 0.085 restores, and the resumed run ends on the unsplit run's bits."""
+    common = ["run", "--pressure", "4", "--epsilon", "1e-3", "--pinch-floor", "0",
+              "--dt", "1e-4", "--ic", "steady-perturbed-poly:1.2"]
+    ck = tmp_path / "ck.json"
+    assert main([*common, "--t-final", "0.085", "--out-dir", str(tmp_path / "a"),
+                 "--checkpoint", str(ck)]) == 0
+    assert min(json.loads(ck.read_text())["values"]) < 0.0
+    assert main([*common, "--t-final", "0.09", "--out-dir", str(tmp_path / "b"),
+                 "--restore", str(ck)]) == 0
+    assert main([*common, "--t-final", "0.09", "--out-dir", str(tmp_path / "whole")]) == 0
+    resumed = read_snapshots_jsonl(tmp_path / "b" / "snapshots.jsonl")[-1]
+    whole = read_snapshots_jsonl(tmp_path / "whole" / "snapshots.jsonl")[-1]
+    assert resumed == whole

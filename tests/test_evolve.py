@@ -252,15 +252,21 @@ def test_unregularized_mode_runs_and_guards(grid):
 
 
 def test_restart_matches_unsplit_run_exactly(short_traj):
+    """A first leg run to step 100 hands its last state, ledger row and
+    predictor history to the second leg (a mid-run snapshot carries no
+    history, so it could not continue the unsplit run bit for bit)."""
     traj = short_traj
     cfg = traj.config
-    i_half = int(np.nonzero(traj.snapshot_steps == 100)[0][0])
+    first = run(replace(cfg, t_final=100 * cfg.dt), traj.snapshots[0])
+    assert first.snapshot_steps[-1] == 100
+    assert len(first.history) == 2
     start = RunStart(
-        time=float(traj.times[i_half]),
+        time=first.ledger[-1].time,
         step=100,
-        cumulative_dissipation=float(traj.ledger[100].cumulative_dissipation),
+        cumulative_dissipation=first.ledger[-1].cumulative_dissipation,
+        history=first.history,
     )
-    second = run(cfg, traj.snapshots[i_half], start=start)
+    second = run(cfg, first.final, start=start)
     assert np.array_equal(second.final.values, traj.final.values)
     assert (
         second.ledger[-1].cumulative_dissipation
@@ -306,7 +312,7 @@ def test_even_data_stays_even(n, pressure, epsilon, log_dt, amplitude, coeffs):
 def whole_and_resumed(split, pressure, epsilon, dt):
     """A 20-step run on 51 nodes from the perturbed parabola (amplitude
     0.05), and its second leg resumed at step split from the first leg's
-    last state and ledger row."""
+    last state, ledger row and predictor history."""
     grid = make_grid(51)
     h0 = Profile(
         grid=grid, values=ic_steady_perturbed_poly(pressure, grid, 0.05), pressure=pressure
@@ -317,6 +323,7 @@ def whole_and_resumed(split, pressure, epsilon, dt):
         time=first.ledger[-1].time,
         step=split,
         cumulative_dissipation=first.ledger[-1].cumulative_dissipation,
+        history=first.history,
     )
     return run(cfg, h0), run(cfg, first.final, start=start)
 
@@ -332,8 +339,7 @@ def test_restart_at_a_generated_step_matches_unsplit_run(split, pressure, epsilo
     """Generated domain: split at step 1..19 of whole_and_resumed's run, P in
     [0.5, 1.9], epsilon 0 or in [1e-3, 1e-1] and dt = 10**U(-5, -3). The
     resumed leg repeats the unsplit run's last state, Picard counts and
-    ledger energies and dissipations bit for bit; its times are the subject
-    of the next test."""
+    ledger energies and dissipations bit for bit."""
     whole, second = whole_and_resumed(split, pressure, epsilon, 10.0**log_dt)
     assert second.termination is whole.termination is Termination.REACHED_T_FINAL
     assert second.final.values.tobytes() == whole.final.values.tobytes()
@@ -344,18 +350,42 @@ def test_restart_at_a_generated_step_matches_unsplit_run(split, pressure, epsilo
         )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "a resumed run stamps step k with t_split + (k - split) dt and the "
-        "unsplit run with k dt, which can differ in the last bits: split at "
-        "step 1 with dt = 1e-3 stamps step 10 with 0.010000000000000002 "
-        "against 0.01"
-    ),
-)
 def test_resumed_ledger_times_match_unsplit_run():
+    """Step k is stamped k dt in both legs; t_split + (k - split) dt would
+    stamp step 10 with 0.010000000000000002 against 0.01 here."""
     whole, second = whole_and_resumed(1, 1.0, 0.0, 1e-3)
     assert [r.time for r in second.ledger[1:]] == [r.time for r in whole.ledger[2:]]
+
+
+def test_restored_state_need_not_be_positive(grid):
+    """Strict positivity is asked of fresh initial data only: a restored
+    state is whatever the run reached, and keeps the boundary-row checks."""
+    dipped = Profile(grid=grid, values=parabola(8.0, grid), pressure=8.0)
+    cfg = SolverConfig(pressure=8.0, dt=1e-4, t_final=0.002, epsilon=1e-2, pinch_floor=0.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        run(cfg, dipped)
+    traj = run(cfg, dipped, start=RunStart(time=0.001, step=10))
+    assert traj.termination is Termination.REACHED_T_FINAL
+    assert traj.snapshot_steps[-1] == 20
+    with pytest.raises(ValueError, match="boundary value rows"):
+        run(cfg, Profile(grid=grid, values=dipped.values + 0.01, pressure=8.0),
+            start=RunStart(time=0.001, step=10))
+
+
+def test_relax_run_takes_one_solve_per_step(grid):
+    """The predictor makes the first Picard iterate the accepted one on the
+    relax benchmark's run (P = 1, n = 201, eps = 0, dt = 1e-5, 2000 steps):
+    1.01 solves per step, where starting from h^n takes exactly 2."""
+    cfg = SolverConfig(
+        pressure=1.0, dt=1e-5, t_final=2000 * 1e-5, epsilon=0.0, pinch_floor=1e-3
+    )
+    h0 = Profile(
+        grid=grid, values=ic_steady_perturbed_poly(1.0, grid, 0.05), pressure=1.0
+    )
+    traj = run(cfg, h0)
+    assert traj.termination is Termination.REACHED_T_FINAL
+    assert len(traj.picard_iters) == 2001
+    assert traj.picard_iters[1:].mean() < 1.1
 
 
 def test_pinch_run_stops_near_lower_contact_point(pinch_traj):

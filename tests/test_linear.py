@@ -270,6 +270,17 @@ def test_condition_estimate_is_finite_and_grows_with_dt(grid201):
     assert 1.0 < c_small < c_large < 1e12
 
 
+def reduced_solve(ab, rhs):
+    """Solve of the band system whose rows 0 and n-1 pin the values to 1:
+    gbsv on rows and columns 1..n-2, with A[i, 0] and A[i, n-1] moved to
+    the rhs as dense-index products."""
+    dense = band_to_dense(ab)
+    x = np.ones(ab.shape[1])
+    b = rhs[1:-1] - dense[1:-1, 0] * x[0] - dense[1:-1, -1] * x[-1]
+    x[1:-1] = sla.solve_banded((2, 2), ab[:, 1:-1], b)
+    return x
+
+
 def band_to_dense(ab):
     n = ab.shape[1]
     dense = np.zeros((n, n))
@@ -289,7 +300,8 @@ def band_to_dense(ab):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_step_matches_solve_banded_bit_for_bit(n, g_lo, g_hi, log_dt, pressure, seed):
-    """The gbtrf/gbtrs path gives exactly what LAPACK gbsv gives."""
+    """The gbtrf/gbtrs path gives exactly what LAPACK gbsv gives on the
+    system reduced by the two known boundary values."""
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
     g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
@@ -299,7 +311,7 @@ def test_step_matches_solve_banded_bit_for_bit(n, g_lo, g_hi, log_dt, pressure, 
     system = assemble_operator(g, grid, dt, pressure)
     rhs = system.rhs.copy()
     rhs[2:-2] = h.values[2:-2]
-    expected = sla.solve_banded((2, 2), system.matrix, rhs)
+    expected = reduced_solve(system.matrix, rhs)
     assert out.profile.values.tobytes() == expected.tobytes()
 
 
@@ -334,25 +346,19 @@ def value_row_defects(steps):
 
 
 def test_right_value_row_is_exact():
-    """No row swap can happen in the last column, so h(1) = 1 to the bit."""
+    """The known values never enter the LU, so h(1) = 1 to the bit."""
     _, right = value_row_defects(17)
     assert np.all(right == 0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "partial pivoting in column 0 picks the curvature row or the first "
-        "interior row over the identity value row, so h(-1) - 1 picks up "
-        "roundoff: 1.15e-9 after 17 steps, above VALUE_ROW_TOL = 1e-9. This "
-        "is why the artifacts benchmark fails at seed 10 (its step-500 "
-        "checkpoint has h(-1) - 1 = 1.1e-9 and --restore rejects it) and why "
-        "some checkpoints cannot be read back (ROADMAP item 5)"
-    ),
-)
 def test_left_value_row_stays_within_restore_tolerance():
+    """h(-1) = 1 to the bit as well.  Were the value row in the LU, partial
+    pivoting in column 0 could pick the curvature row or the first interior
+    row over it, and h(-1) - 1 would reach 1.15e-9 after 17 steps, above
+    VALUE_ROW_TOL."""
     left, _ = value_row_defects(17)
     assert np.max(left) <= VALUE_ROW_TOL
+    assert np.all(left == 0.0)
 
 
 def test_gate_rejects_non_finite_solution(grid201, monkeypatch):
@@ -478,7 +484,8 @@ def test_step_matches_whole_array_formulation_bit_for_bit(
     n, g_lo, g_hi, log_dt, pressure, crank_nicolson, seed
 ):
     """The in-place assembly and the gate's norms give the bits of the
-    whole-array expressions they replaced, in every output."""
+    whole-array expressions they replaced, in every output; the solution's
+    reference is the reduced solve."""
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
     g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
@@ -494,7 +501,7 @@ def test_step_matches_whole_array_formulation_bit_for_bit(
     rhs[2:-2] = h.values[2:-2]
     if crank_nicolson:
         rhs[2:-2] -= dt_eff * apply_interior_operator(g, grid, h.values)[2:-2]
-    x = sla.solve_banded((2, 2), ab, rhs)
+    x = reduced_solve(ab, rhs)
     a_norm = float(np.max(_reference_band_product(np.abs(ab), np.ones(n))))
     residual = float(np.max(np.abs(_reference_band_product(ab, x) - rhs)))
     rhs_norm = float(np.max(np.abs(rhs)))
