@@ -90,14 +90,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RunStart:
-    """Restart offsets (checkpoint restore); zeros for a fresh run.
+    """What a run continues from besides its values: zeros for a fresh run,
+    Trajectory.end after one, and what a checkpoint stores.
 
     history holds the values of up to two accepted states before the start
     state, oldest first: the Picard predictor's input, so that a resumed run
     repeats the unsplit run bit for bit.
     """
 
-    time: float = 0.0
     step: int = 0
     cumulative_dissipation: float = 0.0
     history: tuple[np.ndarray, ...] = ()
@@ -119,7 +119,7 @@ class Trajectory:
     failure_message: str | None = None
     flux_reports: list[FluxEnergyReport] = field(default_factory=list)
     max_solver_residual: float = 0.0
-    history: tuple[np.ndarray, ...] = ()  # the RunStart.history of a continuation
+    end: RunStart = RunStart()        # continue with run(cfg, final, start=end)
 
     @property
     def final(self) -> Profile:
@@ -208,7 +208,8 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
 
     Without start, h0 is fresh initial data at step 0; with it, h0 is a
     restored state and start.history seeds the Picard predictor.  Step k is
-    stamped with time k * dt either way.
+    stamped with time k * dt either way.  A start past t_final is an error;
+    one at t_final takes no step.
     """
     _validate_initial(h0, cfg, fresh=start is None)
     grid = h0.grid
@@ -220,24 +221,25 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     total_steps = int(round(cfg.t_final / cfg.dt))
     if total_steps < 1:
         raise ValueError("t_final must allow at least one step")
-    if start.step >= total_steps and start.time < cfg.t_final:
+    if start.step > total_steps:
         raise ValueError("restart point is already past the configured t_final")
 
+    t_start = start.step * cfg.dt
     cum = start.cumulative_dissipation
     h = h0
     x_m, h_m = min_value(h)
     ledger = [
         EnergyLedger(
-            time=start.time,
+            time=t_start,
             energy=energy(h, cfg.pressure, rule),
             dissipation=dissipation(h, rule),
             cumulative_dissipation=cum,
         )
     ]
-    mins = [(start.time, x_m, h_m)]
+    mins = [(t_start, x_m, h_m)]
     iters_list = [0]
     snapshots = [h]
-    snap_times = [start.time]
+    snap_times = [t_start]
     snap_steps = [start.step]
     flux_rows: list[FluxEnergyReport] = []
     max_residual = 0.0
@@ -323,7 +325,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         failure_message=failure_message,
         flux_reports=flux_rows,
         max_solver_residual=max_residual,
-        history=history,
+        end=RunStart(step=k, cumulative_dissipation=cum, history=history),
     )
 
 
@@ -404,7 +406,6 @@ class PinchReport:
     t_pinch: float | None
     x_pinch: float | None
     tail_times: np.ndarray
-    tail_minima: np.ndarray
     log_slope: float | None
 
 
@@ -436,7 +437,6 @@ def detect_pinch(traj: Trajectory, tail_length: int = 50) -> PinchReport:
             t_pinch=None,
             x_pinch=None,
             tail_times=tail_t,
-            tail_minima=tail_h,
             log_slope=log_slope,
         )
     first = int(crossed[0])
@@ -445,7 +445,6 @@ def detect_pinch(traj: Trajectory, tail_length: int = 50) -> PinchReport:
         t_pinch=float(t[first]),
         x_pinch=float(x_m[first]),
         tail_times=tail_t,
-        tail_minima=tail_h,
         log_slope=log_slope,
     )
 
@@ -505,8 +504,6 @@ class DecayFit:
     rate: float
     prefactor: float
     r_squared: float
-    window_times: np.ndarray
-    window_distances: np.ndarray
 
 
 def decay_rate(traj: Trajectory, min_points: int = 20) -> DecayFit:
@@ -550,8 +547,6 @@ def decay_rate(traj: Trajectory, min_points: int = 20) -> DecayFit:
         rate=float(-slope),
         prefactor=float(np.exp(intercept) / dist[0]) if dist[0] > 0 else float("inf"),
         r_squared=float(r2),
-        window_times=tw,
-        window_distances=dw,
     )
 
 

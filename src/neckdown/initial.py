@@ -3,8 +3,9 @@
 The stepper requires data satisfying the four discrete boundary rows
 (values 1 at the endpoints, one-sided second difference P at both ends).
 Analytic perturbation shapes rarely satisfy the curvature rows exactly, so
-every family projects its raw profile by adding the quartic of minimal
-discrete L2 norm that repairs all four rows.
+each analytic family adds to its raw profile the quartic of minimal discrete
+L2 norm that repairs all four rows.  File data is used as stored, and a run
+rejects it if it is off the rows.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def ic_steady_perturbed_random(
 
 
 def ic_from_file(path: str | Path, grid: Grid) -> np.ndarray:
-    """Nodal values from a JSON file {"values": [...]} matching the grid."""
+    """Nodal values from a JSON file {"values": [...]} matching the grid, unprojected."""
     data = json.loads(Path(path).read_text())
     values = np.asarray(data["values"], dtype=float)
     if values.shape != (grid.n,):

@@ -193,58 +193,76 @@ def write_report_json(report: dict, path: Path) -> None:
 
 
 def write_checkpoint(traj: Trajectory, path: Path) -> None:
-    """Final state of a run and the (up to two) accepted states before it,
-    which seed the Picard predictor: enough to continue the run bit for bit."""
+    """The state traj ended in, traj.end with the final values, and the
+    config that wrote it: enough to continue the run bit for bit."""
+    end = traj.end
     state = {
         "config": _jsonable(config_to_dict(traj.config)),
-        "step": int(traj.snapshot_steps[-1]),
-        "time": traj.ledger[-1].time,
-        "cumulative_dissipation": traj.ledger[-1].cumulative_dissipation,
-        "values": [float(v) for v in traj.final.values],
-        "history": [[float(v) for v in row] for row in traj.history],
+        "step": end.step,
+        "cumulative_dissipation": end.cumulative_dissipation,
+        "values": traj.final.values.tolist(),
+        "history": [row.tolist() for row in end.history],
     }
     _write_atomic(path, json.dumps(state) + "\n")
 
 
+def _check_json_type(name: str, value, kind, wanted: str, bound=None) -> None:
+    """ValueError unless value has JSON type kind and meets bound; bools are
+    ints to isinstance, so only kind bool takes them."""
+    if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+            or (bound is not None and not bound(value))):
+        raise ValueError(f"{name} needs {wanted}, got {value!r:.40}")
+
+
+# each checkpoint key: its JSON types, what it must be in words, and a bound
+_CHECKPOINT_KEYS = {
+    "config": (dict, "an object", None),
+    "step": (int, "a nonnegative integer", lambda step: step >= 0),
+    "cumulative_dissipation": ((int, float), "a number", None),
+    "values": (list, "a list of numbers", None),
+    "history": (list, "a list of at most 2 states", lambda rows: len(rows) <= 2),
+}
+
+
 def load_checkpoint(path: Path, cfg: SolverConfig) -> tuple[Profile, RunStart]:
-    """The state and restart offsets a checkpoint holds; a checkpoint
-    without history restarts the predictor from the state alone."""
+    """The state and RunStart a checkpoint holds.  A missing or mistyped key
+    raises ValueError naming it; history defaults to none, and other keys
+    (older checkpoints hold a time) are ignored."""
     state = json.loads(Path(path).read_text())
+    _check_json_type("checkpoint", state, dict, "a JSON object")
+    state = {"history": [], **state}
+    for key, (kind, wanted, bound) in _CHECKPOINT_KEYS.items():
+        if key not in state:
+            raise ValueError(f"checkpoint lacks the {key!r} key")
+        _check_json_type(f"checkpoint {key!r}", state[key], kind, wanted, bound)
     saved = state["config"]
     for key in ("n", "pressure", "dt"):
-        if saved[key] != getattr(cfg, key):
+        if saved.get(key) != getattr(cfg, key):
             raise ValueError(
-                f"checkpoint {key}={saved[key]} does not match config "
+                f"checkpoint {key}={saved.get(key)} does not match config "
                 f"{key}={getattr(cfg, key)}"
             )
     grid = make_grid(cfg.n)
-    profile = Profile(
-        grid=grid, values=np.asarray(state["values"], dtype=float), pressure=cfg.pressure
-    )
-    rows = state.get("history", [])
-    if not isinstance(rows, list) or len(rows) > 2:
-        raise ValueError("checkpoint history must be a list of at most 2 states")
-    history = []
-    for row in rows:
+
+    def profile(key: str, values) -> Profile:
         try:
-            history.append(Profile(grid=grid, values=row, pressure=cfg.pressure).values)
+            return Profile(grid=grid, values=values, pressure=cfg.pressure)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"checkpoint history: {exc}") from None
+            raise ValueError(f"checkpoint {key}: {exc}") from None
+
     start = RunStart(
-        time=float(state["time"]),
-        step=int(state["step"]),
+        step=state["step"],
         cumulative_dissipation=float(state["cumulative_dissipation"]),
-        history=tuple(history),
+        history=tuple(profile("history", row).values for row in state["history"]),
     )
-    return profile, start
+    return profile("values", state["values"]), start
 
 
 def config_to_dict(cfg: SolverConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(SolverConfig)}
 
 
-# JSON types each SolverConfig annotation accepts from a config file; bools
-# are ints to isinstance, so only bool fields take them
+# JSON types each SolverConfig annotation accepts from a config file
 _FILE_TYPES = {"bool": bool, "int": int, "float": (int, float)}
 
 
@@ -263,12 +281,7 @@ def resolve_config(flags: dict, file_values: dict | None = None) -> SolverConfig
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
         for key, value in file_values.items():
             kind = kinds[key]
-            if not isinstance(value, _FILE_TYPES[kind]) or (
-                isinstance(value, bool) and kind != "bool"
-            ):
-                raise ValueError(
-                    f"config file key {key!r} needs a {kind}, got {value!r}"
-                )
+            _check_json_type(f"config file key {key!r}", value, _FILE_TYPES[kind], f"a {kind}")
         merged.update(file_values)
     for key, value in flags.items():
         if key in kinds and value is not None:
@@ -285,10 +298,10 @@ def default_out_dir() -> Path:
 def execute_run(manifest: RunManifest) -> tuple[Trajectory, dict]:
     """Run a manifest and write its artifacts; returns trajectory + report."""
     cfg = manifest.config
-    grid = make_grid(cfg.n)
     if manifest.restore is not None:
         h0, start = load_checkpoint(manifest.restore, cfg)
     else:
+        grid = make_grid(cfg.n)
         values = build_initial_condition(
             manifest.initial_condition, cfg.pressure, grid, seed=manifest.seed
         )

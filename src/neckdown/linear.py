@@ -8,9 +8,9 @@ condition d2 h = P through one-sided 4-node stencils, which keeps the matrix
 pentadiagonal.  The solve sets the two known values and eliminates them:
 columns 0 and n-1 move into the rhs, and rows and columns 1..n-2, still a
 (2, 2) band, go through one banded LU with partial pivoting.  LAPACK gbtrf
-factors, gbtrs solves, and gbcon estimates the condition number from the
-same factors when a solve is rejected.  The backward-error gate tests the
-full system.
+factors, gbtrs solves, and gbcon estimates the condition number of that
+block when a solve is rejected.  The backward-error gate tests the full
+system.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ class BandedSystem:
 
     matrix: np.ndarray
     rhs: np.ndarray
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return _band_product(self.matrix, x)
 
 
 def _band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -86,19 +83,12 @@ def face_flux(mobility: np.ndarray, values: np.ndarray, dx: float) -> np.ndarray
     """Face fluxes g_{i+1/2} * D3_face on faces 3/2 .. n-5/2 (length n-3).
 
     g_{i+1/2} is the mean of the two adjacent nodal mobilities and D3_face
-    the 4-node third difference centred on the face.
+    the 4-node third difference centred on the face; verify checks the
+    assembled band's L_g against it.
     """
     g_face = 0.5 * (mobility[:-1] + mobility[1:])  # g at face i+1/2, length n-1
     d3_face = (-values[:-3] + 3.0 * values[1:-2] - 3.0 * values[2:-1] + values[3:]) / dx**3
     return g_face[1:-1] * d3_face
-
-
-def apply_interior_operator(mobility: np.ndarray, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """L_g h on interior nodes 2..n-3 (zeros elsewhere): d/dx of the face flux."""
-    fluxes = face_flux(mobility, values, grid.dx)
-    out = np.zeros_like(values)
-    out[2:-2] = (fluxes[1:] - fluxes[:-1]) / grid.dx
-    return out
 
 
 def assemble_operator(
@@ -183,19 +173,17 @@ def _factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return dgbtrf(buf, _KL, _KU, overwrite_ab=True)
 
 
-def _condition(ab: np.ndarray, lu: np.ndarray, ipiv: np.ndarray) -> float:
-    """kappa_1 = 1 / rcond from LAPACK gbcon on the nonsingular LU factors
-    of ab, with ||A||_1 the largest column sum of |ab|."""
-    anorm = float(np.max(np.abs(ab).sum(axis=0)))
-    rcond, _ = dgbcon(_KL, _KU, lu, ipiv, anorm)
-    return 1.0 / rcond if rcond > 0.0 else np.inf
-
-
 def condition_estimate(system: BandedSystem) -> float:
-    """1-norm condition estimate kappa_1 = ||A||_1 * est ||A^-1||_1; inf when
-    the LU finds an exactly zero pivot."""
-    lu, ipiv, info = _factor(system.matrix)
-    return np.inf if info > 0 else _condition(system.matrix, lu, ipiv)
+    """1-norm condition estimate kappa_1 = 1 / rcond from LAPACK gbcon, of
+    the block of rows and columns 1..n-2 that step_linear factors, with
+    ||A||_1 the largest column sum of |A|; inf when the LU finds an exactly
+    zero pivot."""
+    inner = system.matrix[:, 1:-1]
+    lu, ipiv, info = _factor(inner)
+    if info > 0:
+        return np.inf
+    rcond, _ = dgbcon(_KL, _KU, lu, ipiv, float(np.max(np.abs(inner).sum(axis=0))))
+    return 1.0 / rcond if rcond > 0.0 else np.inf
 
 
 def step_linear(
@@ -209,18 +197,20 @@ def step_linear(
 
     Backward Euler by default; with crank_nicolson=True the interior rows use
     the trapezoidal split (I + dt/2 L) h_new = h_old - dt/2 L h_old, which is
-    second order in time for accuracy studies.  Boundary rows are enforced at
-    the new time either way.
+    second order in time for accuracy studies; its right side is
+    2 h_old - A h_old with A = I + dt/2 L the assembled band.  Boundary rows
+    are enforced at the new time either way.
     """
     grid = h_old.grid
     dt_eff = 0.5 * dt if crank_nicolson else dt
     system = assemble_operator(mobility, grid, dt_eff, pressure)
-    rhs = system.rhs
-    rhs[2:-2] = h_old.values[2:-2]
-    if crank_nicolson:
-        rhs[2:-2] -= dt_eff * apply_interior_operator(mobility, grid, h_old.values)[2:-2]
-
     ab = system.matrix
+    rhs = system.rhs
+    if crank_nicolson:
+        rhs[2:-2] = 2.0 * h_old.values[2:-2] - _band_product(ab, h_old.values)[2:-2]
+    else:
+        rhs[2:-2] = h_old.values[2:-2]
+
     # h(-1) = h(1) = 1 (rhs rows 0 and n-1): move columns 0 and n-1 into the
     # rhs of rows 1, 2 and n-3, n-2, so that no row swap mixes a value row
     # into the LU of the rows and columns 1..n-2 between them
@@ -245,7 +235,7 @@ def step_linear(
     x_norm = float(np.abs(new_values).max())
     backward = residual / (a_norm * x_norm + rhs_norm)
     if not math.isfinite(backward) or backward > RESIDUAL_RTOL:
-        cond = _condition(inner, lu, ipiv)
+        cond = condition_estimate(system)
         raise LinearSolveError(
             f"backward error {backward:.3e} exceeds {RESIDUAL_RTOL:.0e} "
             f"(residual {residual:.3e}, condition estimate {cond:.3e})"

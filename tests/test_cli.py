@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neckdown.cli import _solver_config, build_parser, main
-from neckdown.evolve import SolverConfig
+from neckdown.evolve import RunStart, SolverConfig
 from neckdown.io import (
     FLUX_HEADER,
     LEDGER_HEADER,
@@ -231,14 +231,19 @@ def test_checkpoint_roundtrip_and_mismatch(tmp_path):
         checkpoint=tmp_path / "state.json",
     )
     traj, _ = execute_run(manifest)
-    profile, start = load_checkpoint(manifest.checkpoint, cfg)
-    np.testing.assert_array_equal(profile.values, traj.final.values)
-    assert start.step == int(traj.snapshot_steps[-1])
-    assert start.time == traj.ledger[-1].time
-    assert start.cumulative_dissipation == traj.ledger[-1].cumulative_dissipation
-    assert len(traj.history) == len(start.history) == 2
-    for saved, restored in zip(traj.history, start.history):
-        assert restored.tobytes() == saved.tobytes()
+    assert traj.end.step == int(traj.snapshot_steps[-1])
+    assert len(traj.end.history) == 2
+    state = json.loads(manifest.checkpoint.read_text())
+    assert "time" not in state
+    # an older checkpoint's time key is ignored: the time is step * dt
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps({**state, "time": 123.0}))
+    for path in (manifest.checkpoint, older):
+        profile, start = load_checkpoint(path, cfg)
+        assert profile.values.tobytes() == traj.final.values.tobytes()
+        for f in fields(RunStart):
+            restored, saved = getattr(start, f.name), getattr(traj.end, f.name)
+            assert np.asarray(restored).tobytes() == np.asarray(saved).tobytes(), f.name
     with pytest.raises(ValueError, match="does not match config"):
         load_checkpoint(manifest.checkpoint, quick_config(dt=5e-5))
 
@@ -278,6 +283,48 @@ def test_checkpoint_history_is_optional_and_checked(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+SHORT_RUN = ["run", "--pressure", "1.5", "--n", "51", "--dt", "1e-3", "--epsilon", "1e-2",
+             "--ic", "steady-perturbed-poly:0.05"]
+
+
+def test_cli_restore_past_t_final_exits_two(tmp_path, capsys):
+    """A checkpoint at t = 0.05 restored under --t-final 0.03 lies past the
+    final time: the run is refused, not reported as reached-t-final."""
+    ck = tmp_path / "ck.json"
+    assert main([*SHORT_RUN, "--t-final", "0.05", "--out-dir", str(tmp_path / "a"),
+                 "--checkpoint", str(ck)]) == 0
+    capsys.readouterr()
+    assert main([*SHORT_RUN, "--t-final", "0.03", "--out-dir", str(tmp_path / "b"),
+                 "--restore", str(ck)]) == 2
+    assert "already past" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda s: {k: v for k, v in s.items() if k != "step"}, "'step'"),
+        (lambda s: {**s, "step": -1}, "'step'"),
+        (lambda s: {**s, "values": {"values": s["values"]}}, "'values'"),
+        (lambda s: {**s, "cumulative_dissipation": "0.5"}, "'cumulative_dissipation'"),
+        (lambda s: [s], "JSON object"),
+    ],
+    ids=["no-step", "negative-step", "values-object", "dissipation-string", "top-level-list"],
+)
+def test_cli_restore_of_a_malformed_checkpoint_exits_two(tmp_path, capsys, edit, named):
+    """A checkpoint with a key missing, mistyped or out of range, or one that
+    is no JSON object, makes --restore exit 2 with a message naming it."""
+    ck = tmp_path / "ck.json"
+    assert main([*SHORT_RUN, "--t-final", "0.01", "--out-dir", str(tmp_path / "a"),
+                 "--checkpoint", str(ck)]) == 0
+    ck.write_text(json.dumps(edit(json.loads(ck.read_text()))))
+    capsys.readouterr()
+    assert main([*SHORT_RUN, "--t-final", "0.02", "--out-dir", str(tmp_path / "b"),
+                 "--restore", str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_split_run_continues_bit_for_bit(tmp_path):

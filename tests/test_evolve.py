@@ -186,7 +186,17 @@ def test_run_rejects_bad_schedules(grid, steady_p1):
         run(SolverConfig(pressure=1.0, dt=1e-4, t_final=1e-9), steady_p1)
     cfg = SolverConfig(pressure=1.0, dt=1e-4, t_final=0.02, epsilon=1e-2)
     with pytest.raises(ValueError, match="already past"):
-        run(cfg, steady_p1, start=RunStart(time=0.0005, step=300))
+        run(cfg, steady_p1, start=RunStart(step=300))
+
+
+def test_restart_at_t_final_takes_no_step(steady_p1):
+    """A start at step t_final / dt is not past t_final: the run logs the
+    start row, stamped step * dt, and ends at once."""
+    cfg = SolverConfig(pressure=1.0, dt=1e-4, t_final=0.02, epsilon=1e-2)
+    traj = run(cfg, steady_p1, start=RunStart(step=200, cumulative_dissipation=0.5))
+    assert traj.termination is Termination.REACHED_T_FINAL
+    assert [row.time for row in traj.ledger] == [200 * 1e-4]
+    assert traj.end == RunStart(step=200, cumulative_dissipation=0.5)
 
 
 def test_run_ledger_and_snapshot_alignment(short_traj):
@@ -252,21 +262,17 @@ def test_unregularized_mode_runs_and_guards(grid):
 
 
 def test_restart_matches_unsplit_run_exactly(short_traj):
-    """A first leg run to step 100 hands its last state, ledger row and
-    predictor history to the second leg (a mid-run snapshot carries no
-    history, so it could not continue the unsplit run bit for bit)."""
+    """A first leg run to step 100 hands its last state and the RunStart it
+    ended in (step, dissipation and predictor history) to the second leg (a
+    mid-run snapshot carries no history, so it could not continue the
+    unsplit run bit for bit)."""
     traj = short_traj
     cfg = traj.config
     first = run(replace(cfg, t_final=100 * cfg.dt), traj.snapshots[0])
     assert first.snapshot_steps[-1] == 100
-    assert len(first.history) == 2
-    start = RunStart(
-        time=first.ledger[-1].time,
-        step=100,
-        cumulative_dissipation=first.ledger[-1].cumulative_dissipation,
-        history=first.history,
-    )
-    second = run(cfg, first.final, start=start)
+    assert first.end.step == 100
+    assert len(first.end.history) == 2
+    second = run(cfg, first.final, start=first.end)
     assert np.array_equal(second.final.values, traj.final.values)
     assert (
         second.ledger[-1].cumulative_dissipation
@@ -312,20 +318,14 @@ def test_even_data_stays_even(n, pressure, epsilon, log_dt, amplitude, coeffs):
 def whole_and_resumed(split, pressure, epsilon, dt):
     """A 20-step run on 51 nodes from the perturbed parabola (amplitude
     0.05), and its second leg resumed at step split from the first leg's
-    last state, ledger row and predictor history."""
+    last state and the RunStart it ended in."""
     grid = make_grid(51)
     h0 = Profile(
         grid=grid, values=ic_steady_perturbed_poly(pressure, grid, 0.05), pressure=pressure
     )
     cfg = SolverConfig(pressure=pressure, n=51, dt=dt, t_final=20 * dt, epsilon=epsilon)
     first = run(replace(cfg, t_final=split * dt), h0)
-    start = RunStart(
-        time=first.ledger[-1].time,
-        step=split,
-        cumulative_dissipation=first.ledger[-1].cumulative_dissipation,
-        history=first.history,
-    )
-    return run(cfg, h0), run(cfg, first.final, start=start)
+    return run(cfg, h0), run(cfg, first.final, start=first.end)
 
 
 @settings(max_examples=15, deadline=None)
@@ -364,12 +364,12 @@ def test_restored_state_need_not_be_positive(grid):
     cfg = SolverConfig(pressure=8.0, dt=1e-4, t_final=0.002, epsilon=1e-2, pinch_floor=0.0)
     with pytest.raises(ValueError, match="strictly positive"):
         run(cfg, dipped)
-    traj = run(cfg, dipped, start=RunStart(time=0.001, step=10))
+    traj = run(cfg, dipped, start=RunStart(step=10))
     assert traj.termination is Termination.REACHED_T_FINAL
     assert traj.snapshot_steps[-1] == 20
     with pytest.raises(ValueError, match="boundary value rows"):
         run(cfg, Profile(grid=grid, values=dipped.values + 0.01, pressure=8.0),
-            start=RunStart(time=0.001, step=10))
+            start=RunStart(step=10))
 
 
 def test_relax_run_takes_one_solve_per_step(grid):
