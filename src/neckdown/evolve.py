@@ -232,7 +232,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         EnergyLedger(
             time=t_start,
             energy=energy(h, cfg.pressure, rule),
-            dissipation=dissipation(h, rule),
+            dissipation=dissipation(h.values, grid, rule),
             cumulative_dissipation=cum,
         )
     ]
@@ -269,17 +269,12 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         h_new = result.profile
         max_residual = max(max_residual, result.solver_residual)
 
-        mid = Profile(
-            grid=grid,
-            values=0.5 * (h.values + h_new.values),
-            pressure=cfg.pressure,
-        )
-        cum += cfg.dt * dissipation(mid, rule)
+        cum += cfg.dt * dissipation(0.5 * (h.values + h_new.values), grid, rule)
         ledger.append(
             EnergyLedger(
                 time=t_new,
                 energy=energy(h_new, cfg.pressure, rule),
-                dissipation=dissipation(h_new, rule),
+                dissipation=dissipation(h_new.values, grid, rule),
                 cumulative_dissipation=cum,
             )
         )
@@ -601,6 +596,6 @@ def relaxation_check(traj: Trajectory, delta_loc: float | None = None) -> RelaxR
     return RelaxReport(
         h1_distance=float(h1_distance),
         h3_local_distance=float(np.sqrt(total)),
-        dissipation_end=float(dissipation(traj.final, cfg.rule)),
+        dissipation_end=float(dissipation(final, grid, cfg.rule)),
         delta_loc=float(delta_loc),
     )

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Profile, derivative, quadrature
+from .grid import Grid, Profile, derivative, quadrature
 
 if TYPE_CHECKING:  # pragma: no cover
     from .evolve import Trajectory
@@ -36,15 +36,16 @@ def energy(p: Profile, pressure: float, rule: str = "trapezoid") -> float:
     )
 
 
-def dissipation(p: Profile, rule: str = "trapezoid") -> float:
-    """D(h) = int h |d3 h|^2, with negative nodal h clipped to zero.
+def dissipation(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float:
+    """D(h) = int h |d3 h|^2 of a nodal field, with negative h clipped to zero.
 
     Clipping keeps the reported rate nonnegative when roundoff or a
-    regularized run lets a node dip below zero.
+    regularized run lets a node dip below zero.  It takes raw values, as
+    h1_norm does, so the step loop's midpoint needs no Profile.
     """
-    d3 = derivative(p.values, p.grid.dx, 3)
-    h = np.clip(p.values, 0.0, None)
-    return quadrature(h * d3 * d3, p.grid, rule)
+    d3 = derivative(values, grid.dx, 3)
+    h = np.maximum(values, 0.0)
+    return quadrature(h * d3 * d3, grid, rule)
 
 
 def flux(p: Profile, mobility: np.ndarray) -> np.ndarray:

@@ -16,6 +16,13 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 
+# scipy's private C++ kernel under `csr_matrix @ vector`: y += A x over the
+# stored entries of each row, in storage order.  Called here on a zeroed y,
+# it returns the bits of `op @ v` without scipy.sparse's per-call dispatch.
+# It is not public API and checks no lengths; test_grid pins both the import
+# and the equality.
+from scipy.sparse._sparsetools import csr_matvec
+
 MIN_NODES = 9
 
 # interior half-stencil width per derivative order (second-order centered)
@@ -146,12 +153,27 @@ def _derivative_operator(n: int, order: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _apply(op: sp.csr_matrix, values: np.ndarray, dx: float, order: int) -> np.ndarray:
+    """(op @ values) / dx**order, bit for bit, through csr_matvec.
+
+    The kernel reads n entries of values whatever its length, so a field
+    of any shape but (n,) is a ValueError here, before the call.
+    """
+    n = op.shape[0]
+    if np.shape(values) != (n,):
+        raise ValueError(f"field has shape {np.shape(values)}, operator has {n} nodes")
+    out = np.zeros(n)
+    csr_matvec(n, n, op.indptr, op.indices, op.data, values, out)
+    out /= dx**order
+    return out
+
+
 def derivative(values: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """k-th finite-difference derivative of a nodal field, on all nodes."""
+    """k-th finite-difference derivative of a one-dimensional nodal field,
+    on all nodes."""
     if order not in _HALF_WIDTH:
         raise ValueError(f"derivative order must be in 1..5, got {order}")
-    op = _derivative_operator(len(values), order)
-    return (op @ values) / dx**order
+    return _apply(_derivative_operator(len(values), order), values, dx, order)
 
 
 def diff(p: Profile, order: int) -> np.ndarray:
@@ -174,10 +196,10 @@ def quadrature(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float
     if len(values) != grid.n:
         raise ValueError(f"field has {len(values)} values on a {grid.n}-node grid")
     if rule == "trapezoid":
-        return grid.dx * (values.sum() - 0.5 * (values[0] + values[-1]))
+        return grid.dx * (np.add.reduce(values) - 0.5 * (values[0] + values[-1]))
     if rule == "simpson":
         panels = values[0:-2:2] + 4.0 * values[1:-1:2] + values[2::2]
-        return float(np.sum(panels) * (grid.dx / 3.0))
+        return float(np.add.reduce(panels) * (grid.dx / 3.0))
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
@@ -201,7 +223,7 @@ def sobolev_norm(p: Profile, order: int, rule: str = "trapezoid") -> float:
 
 def h1_norm(values: np.ndarray, grid: Grid) -> float:
     """Fast H^1 norm of a raw nodal field (used in Picard stopping tests)."""
-    d1 = (_derivative_operator(grid.n, 1) @ values) / grid.dx
+    d1 = _apply(_derivative_operator(grid.n, 1), values, grid.dx, 1)
     return float(np.sqrt(quadrature(values**2, grid) + quadrature(d1**2, grid)))
 
 

@@ -122,10 +122,26 @@ def ic_steady_perturbed_random(
     return values
 
 
+def check_json_type(name: str, value, kind, wanted: str, bound=None) -> None:
+    """ValueError unless value has JSON type kind and meets bound; bools are
+    ints to isinstance, so only kind bool takes them."""
+    if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+            or (bound is not None and not bound(value))):
+        raise ValueError(f"{name} needs {wanted}, got {value!r:.40}")
+
+
 def ic_from_file(path: str | Path, grid: Grid) -> np.ndarray:
-    """Nodal values from a JSON file {"values": [...]} matching the grid, unprojected."""
+    """Nodal values from a JSON file {"values": [...]} matching the grid,
+    unprojected.  A file of any other shape raises ValueError naming it."""
     data = json.loads(Path(path).read_text())
-    values = np.asarray(data["values"], dtype=float)
+    check_json_type("initial-condition file", data, dict, "a JSON object")
+    if "values" not in data:
+        raise ValueError("initial-condition file lacks the 'values' key")
+    check_json_type("initial-condition file 'values'", data["values"], list, "a list of numbers")
+    try:
+        values = np.asarray(data["values"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"initial-condition file 'values': {exc}") from None
     if values.shape != (grid.n,):
         raise ValueError(
             f"file data has {values.shape[0] if values.ndim == 1 else values.shape} "

@@ -26,7 +26,7 @@ from .evolve import (
     run,
 )
 from .grid import Profile, make_grid
-from .initial import build_initial_condition
+from .initial import build_initial_condition, check_json_type
 
 IC_FAMILIES = ("steady", "steady-perturbed-poly", "steady-perturbed-random", "file")
 
@@ -206,14 +206,6 @@ def write_checkpoint(traj: Trajectory, path: Path) -> None:
     _write_atomic(path, json.dumps(state) + "\n")
 
 
-def _check_json_type(name: str, value, kind, wanted: str, bound=None) -> None:
-    """ValueError unless value has JSON type kind and meets bound; bools are
-    ints to isinstance, so only kind bool takes them."""
-    if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
-            or (bound is not None and not bound(value))):
-        raise ValueError(f"{name} needs {wanted}, got {value!r:.40}")
-
-
 # each checkpoint key: its JSON types, what it must be in words, and a bound
 _CHECKPOINT_KEYS = {
     "config": (dict, "an object", None),
@@ -229,12 +221,12 @@ def load_checkpoint(path: Path, cfg: SolverConfig) -> tuple[Profile, RunStart]:
     raises ValueError naming it; history defaults to none, and other keys
     (older checkpoints hold a time) are ignored."""
     state = json.loads(Path(path).read_text())
-    _check_json_type("checkpoint", state, dict, "a JSON object")
+    check_json_type("checkpoint", state, dict, "a JSON object")
     state = {"history": [], **state}
     for key, (kind, wanted, bound) in _CHECKPOINT_KEYS.items():
         if key not in state:
             raise ValueError(f"checkpoint lacks the {key!r} key")
-        _check_json_type(f"checkpoint {key!r}", state[key], kind, wanted, bound)
+        check_json_type(f"checkpoint {key!r}", state[key], kind, wanted, bound)
     saved = state["config"]
     for key in ("n", "pressure", "dt"):
         if saved.get(key) != getattr(cfg, key):
@@ -281,7 +273,7 @@ def resolve_config(flags: dict, file_values: dict | None = None) -> SolverConfig
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
         for key, value in file_values.items():
             kind = kinds[key]
-            _check_json_type(f"config file key {key!r}", value, _FILE_TYPES[kind], f"a {kind}")
+            check_json_type(f"config file key {key!r}", value, _FILE_TYPES[kind], f"a {kind}")
         merged.update(file_values)
     for key, value in flags.items():
         if key in kinds and value is not None:

@@ -7,10 +7,10 @@ n-1 pin the boundary values to 1; rows 1 and n-2 impose the curvature
 condition d2 h = P through one-sided 4-node stencils, which keeps the matrix
 pentadiagonal.  The solve sets the two known values and eliminates them:
 columns 0 and n-1 move into the rhs, and rows and columns 1..n-2, still a
-(2, 2) band, go through one banded LU with partial pivoting.  LAPACK gbtrf
-factors, gbtrs solves, and gbcon estimates the condition number of that
-block when a solve is rejected.  The backward-error gate tests the full
-system.
+(2, 2) band, go through one banded LU with partial pivoting.  LAPACK gbsv
+factors and solves in one call (it is gbtrf followed by gbtrs), and gbtrf
+with gbcon estimates the condition number of that block when a solve is
+rejected.  The backward-error gate tests the full system.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbcon, dgbsv, dgbtrf
 
 from .grid import CURVATURE_STENCIL, Grid, Profile, derivative, quadrature
 
@@ -162,15 +162,18 @@ def _boundary_rows(n: int, dx: float, pressure: float) -> tuple[np.ndarray, np.n
     return ab, rhs
 
 
-def _factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """LU factors of a (5, n) band matrix by LAPACK gbtrf.
-
-    gbtrf needs _KL extra rows above the band for the fill-in of row swaps;
-    the buffer is Fortran-ordered so LAPACK factors it in place.
-    """
+def _lu_buffer(ab: np.ndarray) -> np.ndarray:
+    """A (5, n) band matrix with the _KL extra rows above it that gbtrf and
+    gbsv need for the fill-in of row swaps, Fortran-ordered so that LAPACK
+    factors it in place."""
     buf = np.zeros((2 * _KL + _KU + 1, ab.shape[1]), order="F")
     buf[_KL:] = ab
-    return dgbtrf(buf, _KL, _KU, overwrite_ab=True)
+    return buf
+
+
+def _factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """LU factors of a (5, n) band matrix by LAPACK gbtrf."""
+    return dgbtrf(_lu_buffer(ab), _KL, _KU, overwrite_ab=True)
 
 
 def condition_estimate(system: BandedSystem) -> float:
@@ -219,13 +222,13 @@ def step_linear(
     b = new_values[1:-1]
     b[:2] -= ab[3:, 0]              # entries (1, 0), (2, 0)
     b[-2:] -= ab[:2, -1]            # entries (n-3, n-1), (n-2, n-1)
-    lu, ipiv, info = _factor(inner)
+    _, _, x, info = dgbsv(_KL, _KU, _lu_buffer(inner), b, overwrite_ab=True)
     if info > 0:
         raise LinearSolveError(
             f"banded solve failed (condition estimate inf): singular matrix, "
             f"zero pivot in column {info}"
         )
-    b[:] = dgbtrs(lu, _KL, _KU, b, ipiv)[0]
+    b[:] = x
 
     a_norm = float(_row_sums(np.abs(ab)).max())
     r = _band_product(ab, new_values)

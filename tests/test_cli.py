@@ -461,6 +461,32 @@ def test_cli_bad_arguments_exit_two(tmp_path, capsys):
     assert "unknown initial-condition family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, complaint",
+    [
+        ([1, 2], "initial-condition file needs a JSON object"),
+        ({}, "initial-condition file lacks the 'values' key"),
+        ({"values": {"a": 1}}, "'values' needs a list of numbers"),
+    ],
+    ids=["list", "no-values-key", "values-object"],
+)
+def test_cli_malformed_ic_file_exits_two(tmp_path, capsys, payload, complaint):
+    """A JSON file of the wrong shape is a configuration error like any
+    other: exit 2 and a message naming it, not a traceback."""
+    path = tmp_path / "ic.json"
+    path.write_text(json.dumps(payload))
+    rc = main(
+        [
+            "run",
+            "--pressure", "1", "--n", "51", "--dt", "1e-3", "--t-final", "0.01",
+            "--ic", f"file:{path}",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert complaint in capsys.readouterr().err
+
+
 def test_cli_steady_dump(tmp_path, capsys):
     rc = main(["steady", "--pressure", "8", "--n", "101"])
     assert rc == 0

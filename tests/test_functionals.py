@@ -42,9 +42,9 @@ def test_energy_sine_gradient_term(grid201):
 
 def test_dissipation_vanishes_on_quadratics(grid201):
     p = Profile(grid=grid201, values=0.3 * grid201.nodes**2 + 0.5, pressure=1.0)
-    assert dissipation(p) < 1e-12
+    assert dissipation(p.values, grid201) < 1e-12
     state = steady_profile(1.0, grid201)
-    assert dissipation(state.profile) < 1e-12
+    assert dissipation(state.profile.values, grid201) < 1e-12
 
 
 def test_dissipation_sine_oracle(grid401):
@@ -52,7 +52,7 @@ def test_dissipation_sine_oracle(grid401):
         grid=grid401, values=1.0 + 0.1 * np.sin(np.pi * grid401.nodes), pressure=1.0
     )
     expected = 0.01 * np.pi**6
-    assert dissipation(p) == pytest.approx(expected, rel=0.01)
+    assert dissipation(p.values, grid401) == pytest.approx(expected, rel=0.01)
 
 
 def test_flux_constant_mobility_cubic(grid201):

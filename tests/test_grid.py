@@ -4,7 +4,7 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from neckdown import Profile, diff, make_grid, min_value, quadrature, sobolev_norm
-from neckdown.grid import derivative, h1_norm
+from neckdown.grid import _derivative_operator, derivative, h1_norm
 
 
 def test_make_grid_small():
@@ -187,3 +187,59 @@ def test_derivative_raw_array_interface(grid201):
     vals = grid201.nodes**3
     d = derivative(vals, grid201.dx, 3)
     assert np.max(np.abs(d - 6.0)) < 1e-8
+
+
+# finite values the kernel path must carry to the same bits as op @ v:
+# signed zeros, subnormals, and magnitudes from 1e-8 to 1e8
+_TINY = 2.2250738585072014e-308  # smallest normal double
+_SPECIAL = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-_TINY, _TINY, exclude_min=True, exclude_max=True),
+    st.floats(1e-8, 1e8),
+    st.floats(-1e8, -1e-8),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.sampled_from([9, 11, 201, 801]),
+    layout=st.sampled_from(["contiguous", "strided", "integer"]),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(_SPECIAL, max_size=12),
+)
+def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials):
+    """derivative and h1_norm go through scipy's private csr_matvec kernel;
+    it must give the bytes of (op @ v) / dx**k on the same cached operator.
+    This pins the private import and the summation order it relies on."""
+    grid = make_grid(n)
+    rng = np.random.default_rng(seed)
+    if layout == "integer":
+        vals = rng.integers(-10**7, 10**7, n)
+    else:
+        dense = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        dense[rng.integers(0, n, len(specials))] = specials
+        if layout == "contiguous":
+            vals = dense
+        else:
+            vals = np.zeros(2 * n)[::2]
+            vals[:] = dense
+    for k in range(1, 6):
+        expected = (_derivative_operator(n, k) @ vals) / grid.dx**k
+        assert derivative(vals, grid.dx, k).tobytes() == expected.tobytes()
+    d1 = (_derivative_operator(n, 1) @ vals) / grid.dx
+    expected = float(np.sqrt(quadrature(vals**2, grid) + quadrature(d1**2, grid)))
+    assert h1_norm(vals, grid).hex() == expected.hex()
+
+
+def test_kernel_path_rejects_fields_of_the_wrong_shape(grid201):
+    """The raw kernel reads n entries whatever the field holds, so a
+    mismatch must raise before it runs.  h1_norm's operator is the grid's;
+    derivative builds its own from len(values), so only a field that is not
+    one-dimensional can disagree with it."""
+    for length in (9, 199, 200, 202, 401):
+        with pytest.raises(ValueError):
+            h1_norm(np.ones(length), grid201)
+    for shape in ((201, 1), (201, 2)):
+        for k in range(1, 6):
+            with pytest.raises(ValueError):
+                derivative(np.ones(shape), grid201.dx, k)

@@ -365,40 +365,40 @@ def test_left_value_row_stays_within_restore_tolerance():
 
 
 def test_gate_rejects_non_finite_solution(grid201, monkeypatch):
-    real = linear.dgbtrs
+    real = linear.dgbsv
 
-    def nan_solve(*args):
-        x, info = real(*args)
+    def nan_solve(*args, **kwargs):
+        lu, ipiv, x, info = real(*args, **kwargs)
         x[7] = np.nan
         x[9] = np.inf
-        return x, info
+        return lu, ipiv, x, info
 
-    monkeypatch.setattr(linear, "dgbtrs", nan_solve)
+    monkeypatch.setattr(linear, "dgbsv", nan_solve)
     with pytest.raises(LinearSolveError, match="backward error") as exc:
         step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
     assert "condition estimate" in str(exc.value)
 
 
 def test_gate_rejects_perturbed_solution(grid201, monkeypatch):
-    real = linear.dgbtrs
+    real = linear.dgbsv
 
-    def off_solve(*args):
-        x, info = real(*args)
-        return x + 1e-3, info
+    def off_solve(*args, **kwargs):
+        lu, ipiv, x, info = real(*args, **kwargs)
+        return lu, ipiv, x + 1e-3, info
 
-    monkeypatch.setattr(linear, "dgbtrs", off_solve)
+    monkeypatch.setattr(linear, "dgbsv", off_solve)
     with pytest.raises(LinearSolveError, match=f"exceeds {RESIDUAL_RTOL:.0e}"):
         step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
 
 
 def test_gate_rejects_singular_factorization(grid201, monkeypatch):
-    real = linear.dgbtrf
+    real = linear.dgbsv
 
     def zero_pivot(*args, **kwargs):
-        lu, ipiv, _ = real(*args, **kwargs)
-        return lu, ipiv, 5
+        lu, ipiv, x, _ = real(*args, **kwargs)
+        return lu, ipiv, x, 5
 
-    monkeypatch.setattr(linear, "dgbtrf", zero_pivot)
+    monkeypatch.setattr(linear, "dgbsv", zero_pivot)
     with pytest.raises(LinearSolveError, match="singular matrix, zero pivot in column 5"):
         step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
 
