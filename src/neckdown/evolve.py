@@ -25,6 +25,9 @@ from .steady import steady_profile
 VALUE_ROW_TOL = 1e-9
 CURVATURE_ROW_TOL = 1e-6
 
+PINCH_TAIL_ROWS = 50         # trailing min-series rows of detect_pinch's ln h_min fit
+DECAY_FIT_MIN_POINTS = 20    # snapshots decay_rate needs in the run's second half
+
 
 class PicardConvergenceError(RuntimeError):
     """The per-step fixed-point iteration failed to settle."""
@@ -400,16 +403,15 @@ class PinchReport:
     pinched: bool
     t_pinch: float | None
     x_pinch: float | None
-    tail_times: np.ndarray
     log_slope: float | None
 
 
-def detect_pinch(traj: Trajectory, tail_length: int = 50) -> PinchReport:
+def detect_pinch(traj: Trajectory) -> PinchReport:
     """Scan the min-height series for a pinch-floor crossing.
 
-    Reports the first crossing time and node, the final stretch of the
-    series, and the least-squares slope of ln h_m over that stretch (the
-    empirical contact rate; no finite-vs-infinite-time claim is made).
+    Reports the first crossing time and node, and the least-squares slope of
+    ln h_m over the last PINCH_TAIL_ROWS rows of the series (the empirical
+    contact rate; no finite-vs-infinite-time claim is made).
     """
     floor = traj.config.pinch_floor
     t = traj.min_series[:, 0]
@@ -417,9 +419,7 @@ def detect_pinch(traj: Trajectory, tail_length: int = 50) -> PinchReport:
     h_m = traj.min_series[:, 2]
     crossed = np.nonzero(h_m <= floor)[0] if floor > 0 else np.array([], dtype=int)
 
-    tail = slice(max(0, len(t) - tail_length), None)
-    tail_t = t[tail]
-    tail_h = h_m[tail]
+    tail_t, tail_h = t[-PINCH_TAIL_ROWS:], h_m[-PINCH_TAIL_ROWS:]
     positive = tail_h > 0
     log_slope = None
     if positive.sum() >= 2 and np.ptp(tail_t[positive]) > 0:
@@ -427,68 +427,13 @@ def detect_pinch(traj: Trajectory, tail_length: int = 50) -> PinchReport:
         log_slope = float(coeffs[0])
 
     if len(crossed) == 0:
-        return PinchReport(
-            pinched=False,
-            t_pinch=None,
-            x_pinch=None,
-            tail_times=tail_t,
-            log_slope=log_slope,
-        )
+        return PinchReport(pinched=False, t_pinch=None, x_pinch=None, log_slope=log_slope)
     first = int(crossed[0])
     return PinchReport(
         pinched=True,
         t_pinch=float(t[first]),
         x_pinch=float(x_m[first]),
-        tail_times=tail_t,
         log_slope=log_slope,
-    )
-
-
-@dataclass(frozen=True)
-class MinLogSlopeSeries:
-    """Residuals of the minimum-height log-derivative identity.
-
-    At each snapshot midpoint, compares the finite difference of ln h_m with
-    -d4 h at the minimum of the averaged profile; the identity holds because
-    the first derivative vanishes at an interior minimum.
-    """
-
-    times: np.ndarray
-    residuals: np.ndarray
-    reference: np.ndarray
-
-    @property
-    def relative(self) -> np.ndarray:
-        return self.residuals / np.maximum(self.reference, 1e-300)
-
-
-def log_min_derivative_check(traj: Trajectory) -> MinLogSlopeSeries:
-    """Residual series |d ln h_m / dt + d4 h(x_m)| at snapshot midpoints."""
-    if len(traj.snapshots) < 2:
-        raise ValueError("need at least two snapshots")
-    grid = traj.grid
-    times, residuals, reference = [], [], []
-    for j in range(len(traj.snapshots) - 1):
-        t0, t1 = traj.times[j], traj.times[j + 1]
-        if t1 <= t0:
-            continue
-        v0 = traj.snapshots[j].values
-        v1 = traj.snapshots[j + 1].values
-        m0 = float(np.min(v0))
-        m1 = float(np.min(v1))
-        if m0 <= 0 or m1 <= 0:
-            continue
-        rate = (np.log(m1) - np.log(m0)) / (t1 - t0)
-        avg = 0.5 * (v0 + v1)
-        i_m = int(np.argmin(avg))
-        d4 = derivative(avg, grid.dx, 4)[i_m]
-        times.append(0.5 * (t0 + t1))
-        residuals.append(abs(rate + d4))
-        reference.append(abs(d4))
-    return MinLogSlopeSeries(
-        times=np.asarray(times),
-        residuals=np.asarray(residuals),
-        reference=np.asarray(reference),
     )
 
 
@@ -501,7 +446,7 @@ class DecayFit:
     r_squared: float
 
 
-def decay_rate(traj: Trajectory, min_points: int = 20) -> DecayFit:
+def decay_rate(traj: Trajectory) -> DecayFit:
     """Fit the H^1 distance to the steady profile over the last half-run.
 
     Only meaningful for subcritical pressure runs that reached their final
@@ -525,10 +470,10 @@ def decay_rate(traj: Trajectory, min_points: int = 20) -> DecayFit:
     t = traj.times
     t_mid = t[0] + 0.5 * (t[-1] - t[0])
     window = t >= t_mid
-    if window.sum() < min_points:
+    if window.sum() < DECAY_FIT_MIN_POINTS:
         raise ValueError(
             f"insufficient snapshots in the fit window: {int(window.sum())} "
-            f"< {min_points}"
+            f"< {DECAY_FIT_MIN_POINTS}"
         )
     tw = t[window]
     dw = dist[window]

@@ -176,15 +176,6 @@ def derivative(values: np.ndarray, dx: float, order: int) -> np.ndarray:
     return _apply(_derivative_operator(len(values), order), values, dx, order)
 
 
-def diff(p: Profile, order: int) -> np.ndarray:
-    """Second-order finite difference of a profile (orders 1..5).
-
-    Boundary-adjacent nodes use one-sided second-order stencils, so the
-    result is defined on every node.
-    """
-    return derivative(p.values, p.grid.dx, order)
-
-
 def quadrature(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float:
     """Integrate a nodal field over [-1, 1].
 
@@ -210,19 +201,9 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def sobolev_norm(p: Profile, order: int, rule: str = "trapezoid") -> float:
-    """Discrete H^k norm: sqrt(sum_{j<=k} ||d^j p||_L2^2), j = 0 term included."""
-    if order < 0 or order > 5:
-        raise ValueError(f"Sobolev order must be in 0..5, got {order}")
-    total = quadrature(p.values**2, p.grid, rule)
-    for j in range(1, order + 1):
-        dj = derivative(p.values, p.grid.dx, j)
-        total += quadrature(dj**2, p.grid, rule)
-    return float(np.sqrt(total))
-
-
 def h1_norm(values: np.ndarray, grid: Grid) -> float:
-    """Fast H^1 norm of a raw nodal field (used in Picard stopping tests)."""
+    """Discrete H^1 norm sqrt(int h^2 + int |d1 h|^2) of a raw nodal field,
+    trapezoid in both terms (used in Picard stopping tests)."""
     d1 = _apply(_derivative_operator(grid.n, 1), values, grid.dx, 1)
     return float(np.sqrt(quadrature(values**2, grid) + quadrature(d1**2, grid)))
 

@@ -130,6 +130,15 @@ def check_json_type(name: str, value, kind, wanted: str, bound=None) -> None:
         raise ValueError(f"{name} needs {wanted}, got {value!r:.40}")
 
 
+def check_json_numbers(name: str, value) -> np.ndarray:
+    """value as a float array, or ValueError unless it is a JSON list of
+    numbers; bools and numeric strings are not numbers."""
+    check_json_type(name, value, list, "a list of numbers")
+    for item in value:
+        check_json_type(name, item, (int, float), "a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
 def ic_from_file(path: str | Path, grid: Grid) -> np.ndarray:
     """Nodal values from a JSON file {"values": [...]} matching the grid,
     unprojected.  A file of any other shape raises ValueError naming it."""
@@ -137,16 +146,9 @@ def ic_from_file(path: str | Path, grid: Grid) -> np.ndarray:
     check_json_type("initial-condition file", data, dict, "a JSON object")
     if "values" not in data:
         raise ValueError("initial-condition file lacks the 'values' key")
-    check_json_type("initial-condition file 'values'", data["values"], list, "a list of numbers")
-    try:
-        values = np.asarray(data["values"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"initial-condition file 'values': {exc}") from None
-    if values.shape != (grid.n,):
-        raise ValueError(
-            f"file data has {values.shape[0] if values.ndim == 1 else values.shape} "
-            f"values, grid has {grid.n} nodes"
-        )
+    values = check_json_numbers("initial-condition file 'values'", data["values"])
+    if len(values) != grid.n:
+        raise ValueError(f"file data has {len(values)} values, grid has {grid.n} nodes")
     return values
 
 

@@ -26,7 +26,7 @@ from .evolve import (
     run,
 )
 from .grid import Profile, make_grid
-from .initial import build_initial_condition, check_json_type
+from .initial import build_initial_condition, check_json_numbers, check_json_type
 
 IC_FAMILIES = ("steady", "steady-perturbed-poly", "steady-perturbed-random", "file")
 
@@ -237,9 +237,10 @@ def load_checkpoint(path: Path, cfg: SolverConfig) -> tuple[Profile, RunStart]:
     grid = make_grid(cfg.n)
 
     def profile(key: str, values) -> Profile:
+        values = check_json_numbers(f"checkpoint {key!r}", values)
         try:
             return Profile(grid=grid, values=values, pressure=cfg.pressure)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"checkpoint {key}: {exc}") from None
 
     start = RunStart(

@@ -75,7 +75,6 @@ class StepResult:
 
     profile: Profile
     solver_residual: float
-    rhs_norm: float
     backward_error: float
 
 
@@ -247,7 +246,6 @@ def step_linear(
     return StepResult(
         profile=Profile(grid=grid, values=new_values, pressure=pressure),
         solver_residual=residual,
-        rhs_norm=rhs_norm,
         backward_error=float(backward),
     )
 

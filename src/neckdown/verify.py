@@ -1,10 +1,12 @@
 """The model's invariants, each implemented once, and the `verify` rows.
 
 Each invariant function takes the inputs that its consumers vary (grid,
-data, dt, mode, amplitude measure) and returns its defect or measured
-value; none holds a bound.  The `verify` subcommand evaluates every
-invariant on one fixed case against one fixed bound, a row each; the tests
-evaluate the same functions on their own cases and on generated inputs.
+data, dt, mode, amplitude measure, test function) and returns its defect or
+measured value; none holds a bound.  The paper's certificates (the flux
+identity, the entropy, the weak form) live here and nowhere else.  The
+`verify` subcommand evaluates eight invariants on one fixed case against one
+fixed bound, a row each; the tests evaluate the same functions on their own
+cases and on generated inputs.
 """
 
 from __future__ import annotations
@@ -14,11 +16,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import SolverConfig, Termination, Trajectory, run, step_nonlinear
-from .functionals import entropy, flux_identity_residual
-from .grid import Grid, Profile, make_grid, trapezoid_weights
+from .grid import Grid, Profile, derivative, make_grid, quadrature, trapezoid_weights
 from .initial import ic_steady_perturbed_poly
 from .linear import face_flux, step_linear
 from .steady import steady_energy, steady_profile
+
+
+# Nodes this far from each edge mix one-sided and centered stencils once the
+# operators below are composed; the residual is measured inside that band.
+_IDENTITY_MARGIN = 3
+
+
+def flux_identity_residual(p: Profile) -> float:
+    """Max interior defect of d1(h d3 h) - d2(h d2 h - |d1 h|^2 / 2).
+
+    Both sides are second-order discretizations of the same quantity, so the
+    residual must shrink like dx^2 on smooth profiles.  The maximum runs over
+    nodes at least _IDENTITY_MARGIN from each boundary, where every stencil
+    in the composition is centered.
+    """
+    h = p.values
+    dx = p.grid.dx
+    d1 = derivative(h, dx, 1)
+    d2 = derivative(h, dx, 2)
+    d3 = derivative(h, dx, 3)
+    left = derivative(h * d3, dx, 1)
+    right = derivative(h * d2 - 0.5 * d1 * d1, dx, 2)
+    m = _IDENTITY_MARGIN
+    return float(np.max(np.abs(left[m:-m] - right[m:-m])))
 
 
 def flux_identity_residuals(ns: tuple[int, ...]) -> list[float]:
@@ -84,6 +109,37 @@ def symmetry_defect(values: np.ndarray) -> float:
     return float(np.max(np.abs(values - values[::-1])))
 
 
+def entropy_density(s: np.ndarray, bound: float, eps: float) -> np.ndarray:
+    """Closed-form F_eps(s) with F'' = 1/sqrt(s^2 + eps^2), F(A) = F'(A) = 0.
+
+    F_eps(s) = sqrt(A^2+eps^2) - sqrt(s^2+eps^2)
+               + s (asinh(s/eps) - asinh(A/eps)),
+    nonnegative and decreasing on s <= A.
+    """
+    a = bound
+    return (
+        np.sqrt(a * a + eps * eps)
+        - np.sqrt(s * s + eps * eps)
+        + s * (np.arcsinh(s / eps) - np.arcsinh(a / eps))
+    )
+
+
+def entropy(p: Profile, bound: float, eps: float, rule: str = "trapezoid") -> float:
+    """Quadrature of the entropy density F_eps over the profile.
+
+    bound (the anchor A) must dominate the profile and eps must be positive;
+    the density blows up logarithmically at negative values as eps shrinks,
+    which is what makes it a nonnegativity sentinel.
+    """
+    if eps <= 0.0:
+        raise ValueError(f"entropy eps must be positive, got {eps}")
+    if bound < float(np.max(p.values)):
+        raise ValueError(
+            f"entropy anchor {bound} is below the profile maximum {np.max(p.values)}"
+        )
+    return quadrature(entropy_density(p.values, bound, eps), p.grid, rule)
+
+
 def entropy_under_bumps(
     p: Profile, cap: float, eps: float, nodes: tuple[int, ...]
 ) -> tuple[float, np.ndarray]:
@@ -113,15 +169,128 @@ def mass_telescoping_defect(h0: Profile, mobility: np.ndarray, dt: float) -> tup
 
 
 @dataclass(frozen=True)
+class MinLogSlopeSeries:
+    """Residuals of the minimum-height log-derivative identity.
+
+    At each snapshot midpoint, compares the finite difference of ln h_m with
+    -d4 h at the minimum of the averaged profile; the identity holds because
+    the first derivative vanishes at an interior minimum.
+    """
+
+    times: np.ndarray
+    residuals: np.ndarray
+    reference: np.ndarray
+
+    @property
+    def relative(self) -> np.ndarray:
+        return self.residuals / np.maximum(self.reference, 1e-300)
+
+
+def log_min_derivative_check(traj: Trajectory) -> MinLogSlopeSeries:
+    """Residual series |d ln h_m / dt + d4 h(x_m)| at snapshot midpoints."""
+    if len(traj.snapshots) < 2:
+        raise ValueError("need at least two snapshots")
+    grid = traj.grid
+    times, residuals, reference = [], [], []
+    for j in range(len(traj.snapshots) - 1):
+        t0, t1 = traj.times[j], traj.times[j + 1]
+        if t1 <= t0:
+            continue
+        v0 = traj.snapshots[j].values
+        v1 = traj.snapshots[j + 1].values
+        m0 = float(np.min(v0))
+        m1 = float(np.min(v1))
+        if m0 <= 0 or m1 <= 0:
+            continue
+        rate = (np.log(m1) - np.log(m0)) / (t1 - t0)
+        avg = 0.5 * (v0 + v1)
+        i_m = int(np.argmin(avg))
+        d4 = derivative(avg, grid.dx, 4)[i_m]
+        times.append(0.5 * (t0 + t1))
+        residuals.append(abs(rate + d4))
+        reference.append(abs(d4))
+    return MinLogSlopeSeries(
+        times=np.asarray(times),
+        residuals=np.asarray(residuals),
+        reference=np.asarray(reference),
+    )
+
+
+def _bump_rates(
+    x: np.ndarray, t: float, centre: tuple[float, float], radii: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi_t and phi_xx at the nodes x and time t of the test function
+    phi(x, t) = b((x - x_c) / r_x) b((t - t_c) / r_t), where centre is
+    (x_c, t_c), radii is (r_x, r_t) and b(s) = exp(-1 / (1 - s^2)) is the
+    mollifier, zero for |s| >= 1 with all its derivatives."""
+    (x_c, t_c), (r_x, r_t) = centre, radii
+    s = np.append((x - x_c) / r_x, (t - t_c) / r_t)
+    inside = np.abs(s) < 1.0
+    q = np.where(inside, 1.0 - s * s, 1.0)
+    b = np.where(inside, np.exp(-1.0 / q), 0.0)
+    g1 = -2.0 * s / q**2                        # b' / b
+    g2 = -2.0 / q**2 - 8.0 * s * s / q**3       # (b' / b)'
+    b_x, b_t = b[:-1], b[-1]
+    phi_t = b_x * (b_t * g1[-1] / r_t)
+    phi_xx = b_x * (g2[:-1] + g1[:-1] * g1[:-1]) * (b_t / r_x**2)
+    return phi_t, phi_xx
+
+
+def weak_residual(
+    traj: Trajectory, centre: tuple[float, float], radii: tuple[float, float]
+) -> float:
+    """int int h phi_t - (h d2 h - |d1 h|^2/2) phi_xx over the trajectory, for
+    the bump of _bump_rates centred at (x, t) = centre with radii (r_x, r_t).
+
+    Zero for an exact weak solution of dt h + d/dx^2 (h d2 h - |d1 h|^2/2) = 0;
+    on solver output it converges to zero with the discretization.  Trapezoid
+    in time over the snapshot times, configured quadrature in space.
+    """
+    times = np.asarray(traj.times, dtype=float)
+    if len(times) < 3:
+        raise ValueError("trajectory too short: need at least 3 snapshots")
+    (x_c, t_c), (r_x, r_t) = centre, radii
+    if not (-1.0 < x_c - r_x and x_c + r_x < 1.0):
+        raise ValueError("test function support exceeds the spatial domain")
+    if not (times[0] < t_c - r_t and t_c + r_t < times[-1]):
+        raise ValueError("test function support exceeds the trajectory time window")
+    grid = traj.grid
+    rule = traj.config.rule
+    integrand = np.empty(len(times))
+    for j, (t, snap) in enumerate(zip(times, traj.snapshots)):
+        h = snap.values
+        d1 = derivative(h, grid.dx, 1)
+        d2 = derivative(h, grid.dx, 2)
+        phi_t, phi_xx = _bump_rates(grid.nodes, t, centre, radii)
+        integrand[j] = quadrature(h * phi_t, grid, rule) - quadrature(
+            (h * d2 - 0.5 * d1 * d1) * phi_xx, grid, rule
+        )
+    return float(np.trapezoid(integrand, times))
+
+
+def weak_residuals(levels: tuple[tuple[int, float], ...]) -> list[float]:
+    """weak_residual of the P = 1, eps = 1e-2 run from the 0.05-perturbed
+    parabola to t = 0.25, snapshots every 25 steps, for each (n, dt) in
+    levels, against the bump at (0, 0.125) with radii (0.8, 0.1)."""
+    residuals = []
+    for n, dt in levels:
+        h0 = _perturbed(1.0, n)
+        cfg = SolverConfig(pressure=1.0, n=n, dt=dt, t_final=0.25, epsilon=1e-2,
+                           output_every=25)
+        residuals.append(weak_residual(run(cfg, h0), (0.0, 0.125), (0.8, 0.1)))
+    return residuals
+
+
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     detail: str
 
 
-def _perturbed(pressure: float) -> Profile:
-    """The 201-node parabola plus 0.05 (1 - x^2)^2, projected."""
-    grid = make_grid(201)
+def _perturbed(pressure: float, n: int = 201) -> Profile:
+    """The n-node parabola plus 0.05 (1 - x^2)^2, projected."""
+    grid = make_grid(n)
     values = ic_steady_perturbed_poly(pressure, grid, 0.05)
     return Profile(grid=grid, values=values, pressure=pressure)
 
@@ -192,6 +361,13 @@ def check_mass_conservation() -> CheckResult:
                        f"|interior mass change + dt*(face flux jump)| = {resid:.2e}")
 
 
+def check_weak_residual() -> CheckResult:
+    residuals = weak_residuals(((201, 2e-4), (401, 1e-4)))
+    ratio = abs(residuals[0]) / abs(residuals[1])
+    return CheckResult("weak-residual-refinement", bool(ratio >= 3.0),
+                       f"residual ratio (201, 2e-4)->(401, 1e-4) = {ratio:.3f} (want >= 3)")
+
+
 CHECKS = [
     check_flux_identity,
     check_energy_monotonicity,
@@ -200,6 +376,7 @@ CHECKS = [
     check_symmetry_preservation,
     check_entropy_monotone,
     check_mass_conservation,
+    check_weak_residual,
 ]
 
 

@@ -21,16 +21,21 @@ from neckdown.evolve import (
     decay_rate,
     detect_pinch,
     epsilon_continuation,
-    log_min_derivative_check,
     relaxation_check,
     run,
 )
-from neckdown.functionals import energy, entropy
+from neckdown.functionals import energy
 from neckdown.grid import Profile, h1_norm
 from neckdown.initial import default_poly_amplitude, ic_steady_perturbed_poly
 from neckdown.io import RunManifest, execute_run, read_snapshots_jsonl
 from neckdown.steady import steady_energy, steady_profile
-from neckdown.verify import eigenmode_amplitudes, energy_increments, flux_identity_residuals
+from neckdown.verify import (
+    eigenmode_amplitudes,
+    energy_increments,
+    entropy,
+    flux_identity_residuals,
+    log_min_derivative_check,
+)
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:

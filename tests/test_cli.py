@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from neckdown.cli import _solver_config, build_parser, main
 from neckdown.evolve import RunStart, SolverConfig
+from neckdown.grid import make_grid
+from neckdown.initial import ic_steady
 from neckdown.io import (
     FLUX_HEADER,
     LEDGER_HEADER,
@@ -275,7 +277,7 @@ def test_checkpoint_history_is_optional_and_checked(tmp_path, capsys):
     for history, message in (
         ([row[:-1], row], "checkpoint history: profile has"),
         ([row, [float("nan")] + row[1:]], "checkpoint history: profile values must be finite"),
-        ([row, {"values": row}], "checkpoint history: float() argument"),
+        ([row, {"values": row}], "checkpoint 'history' needs a list of numbers"),
         ([row, row, row], "a list of at most 2 states"),
         (row[0], "a list of at most 2 states"),
     ):
@@ -310,8 +312,12 @@ def test_cli_restore_past_t_final_exits_two(tmp_path, capsys):
         (lambda s: {**s, "values": {"values": s["values"]}}, "'values'"),
         (lambda s: {**s, "cumulative_dissipation": "0.5"}, "'cumulative_dissipation'"),
         (lambda s: [s], "JSON object"),
+        (lambda s: {**s, "values": [True] * len(s["values"])}, "'values'"),
+        (lambda s: {**s, "history": [s["history"][0], ["%.17g" % v for v in s["history"][1]]]},
+         "'history'"),
     ],
-    ids=["no-step", "negative-step", "values-object", "dissipation-string", "top-level-list"],
+    ids=["no-step", "negative-step", "values-object", "dissipation-string", "top-level-list",
+         "bools", "numeric-strings"],
 )
 def test_cli_restore_of_a_malformed_checkpoint_exits_two(tmp_path, capsys, edit, named):
     """A checkpoint with a key missing, mistyped or out of range, or one that
@@ -467,8 +473,11 @@ def test_cli_bad_arguments_exit_two(tmp_path, capsys):
         ([1, 2], "initial-condition file needs a JSON object"),
         ({}, "initial-condition file lacks the 'values' key"),
         ({"values": {"a": 1}}, "'values' needs a list of numbers"),
+        ({"values": [True] * 51}, "'values' needs a list of numbers"),
+        ({"values": ["%.17g" % v for v in ic_steady(1.0, make_grid(51))]},
+         "'values' needs a list of numbers"),
     ],
-    ids=["list", "no-values-key", "values-object"],
+    ids=["list", "no-values-key", "values-object", "bools", "numeric-strings"],
 )
 def test_cli_malformed_ic_file_exits_two(tmp_path, capsys, payload, complaint):
     """A JSON file of the wrong shape is a configuration error like any
@@ -602,7 +611,7 @@ def test_cli_verify(capsys):
     rc = main(["verify"])
     assert rc == 0
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 7
+    assert len(rows) == 8
     assert all(row.split()[1] == "PASS" for row in rows)
 
 

@@ -5,20 +5,22 @@ import scipy.integrate
 from neckdown import (
     Profile,
     SolverConfig,
-    SpaceTimeBump,
     dissipation,
     energy,
-    entropy,
-    entropy_density,
-    flux,
-    flux_identity_residual,
     make_grid,
     run,
     steady_profile,
-    weak_residual,
 )
-from neckdown.initial import ic_steady, ic_steady_perturbed_poly
-from neckdown.verify import entropy_under_bumps
+from neckdown.initial import ic_steady
+from neckdown.verify import (
+    _bump_rates,
+    entropy,
+    entropy_density,
+    entropy_under_bumps,
+    flux_identity_residual,
+    weak_residual,
+    weak_residuals,
+)
 
 
 def test_energy_constant_profile(grid201):
@@ -53,43 +55,6 @@ def test_dissipation_sine_oracle(grid401):
     )
     expected = 0.01 * np.pi**6
     assert dissipation(p.values, grid401) == pytest.approx(expected, rel=0.01)
-
-
-def test_flux_constant_mobility_cubic(grid201):
-    p = Profile(grid=grid201, values=grid201.nodes**3, pressure=1.0)
-    w = flux(p, np.ones(201))
-    assert np.max(np.abs(w - 6.0)) < 1e-7
-
-
-def test_flux_zero_on_steady(grid201):
-    state = steady_profile(1.0, grid201)
-    g = np.sqrt(state.profile.values**2 + 1e-6)
-    assert np.max(np.abs(flux(state.profile, g))) < 1e-9
-
-
-def test_flux_scaled_sine(grid201):
-    p = Profile(grid=grid201, values=np.sin(np.pi * grid201.nodes), pressure=1.0)
-    w = flux(p, 2.0 * np.ones(201))
-    exact = -2.0 * np.pi**3 * np.cos(np.pi * grid201.nodes)
-    assert np.max(np.abs(w - exact)) < 2e-2 * np.pi**3
-
-
-def test_flux_rejects_bad_mobility(grid201):
-    p = Profile(grid=grid201, values=np.ones(201), pressure=1.0)
-    with pytest.raises(ValueError):
-        flux(p, np.ones(200))
-    g = np.ones(201)
-    g[7] = 0.0
-    with pytest.raises(ValueError):
-        flux(p, g)
-
-
-def test_flux_rejects_nan_mobility(grid201):
-    p = Profile(grid=grid201, values=np.ones(201), pressure=1.0)
-    g = np.ones(201)
-    g[7] = np.nan
-    with pytest.raises(ValueError, match="mobility must be positive"):
-        flux(p, g)
 
 
 def test_flux_identity_vanishes_on_quadratics():
@@ -151,43 +116,46 @@ def test_entropy_rejects_bad_arguments(grid201):
         entropy(p, 2.0, -1e-3)
 
 
-def _bump_numbers(phi, x, t, dh=1e-5):
-    val = phi.value(x, t)
-    dt_n = (phi.value(x, t + dh) - phi.value(x, t - dh)) / (2 * dh)
-    dxx_n = (phi.value(x + dh, t) - 2 * val + phi.value(x - dh, t)) / dh**2
-    return dt_n, dxx_n
+def _mollifier(x, t, centre, radii):
+    # phi(x, t) = b(sx) b(st) with b(s) = exp(-1/(1 - s^2)) inside |s| < 1
+    def b(s):
+        return np.exp(-1.0 / (1.0 - s * s)) if abs(s) < 1.0 else 0.0
+
+    return b((x - centre[0]) / radii[0]) * b((t - centre[1]) / radii[1])
 
 
 def test_bump_derivatives_match_finite_differences():
-    phi = SpaceTimeBump(
-        x_center=0.1, x_radius=0.5, t_center=0.3, t_radius=0.2, amplitude=1.7
-    )
+    centre, radii, dh = (0.1, 0.3), (0.5, 0.2), 1e-5
     for x, t in ((0.1, 0.3), (0.3, 0.25), (-0.2, 0.4)):
-        dt_n, dxx_n = _bump_numbers(phi, x, t)
-        assert phi.dt(x, t) == pytest.approx(dt_n, rel=1e-5, abs=1e-7)
-        assert phi.dxx(x, t) == pytest.approx(dxx_n, rel=1e-4, abs=1e-5)
+        val = _mollifier(x, t, centre, radii)
+        dt_n = (_mollifier(x, t + dh, centre, radii) - _mollifier(x, t - dh, centre, radii)) / (2 * dh)
+        dxx_n = (
+            _mollifier(x + dh, t, centre, radii) - 2 * val + _mollifier(x - dh, t, centre, radii)
+        ) / dh**2
+        phi_t, phi_xx = _bump_rates(np.array([x]), t, centre, radii)
+        assert phi_t[0] == pytest.approx(dt_n, rel=1e-5, abs=1e-7)
+        assert phi_xx[0] == pytest.approx(dxx_n, rel=1e-4, abs=1e-5)
 
 
 def test_bump_vanishes_outside_support():
-    phi = SpaceTimeBump(
-        x_center=0.0, x_radius=0.5, t_center=0.5, t_radius=0.1, amplitude=1.0
-    )
-    assert phi.value(0.6, 0.5) == 0.0
-    assert phi.value(0.0, 0.75) == 0.0
-    assert phi.dt(0.9, 0.5) == 0.0
-    assert phi.dxx(0.0, 0.2) == 0.0
+    centre, radii = (0.0, 0.5), (0.5, 0.1)
+    phi_t, phi_xx = _bump_rates(np.array([0.6, 0.9, -0.5]), 0.5, centre, radii)
+    assert np.all(phi_t == 0.0) and np.all(phi_xx == 0.0)
+    phi_t, phi_xx = _bump_rates(np.array([0.0, 0.1]), 0.75, centre, radii)
+    assert np.all(phi_t == 0.0) and np.all(phi_xx == 0.0)
+    phi_t, phi_xx = _bump_rates(np.array([0.0]), 0.6, centre, radii)
+    assert phi_t[0] == 0.0 and phi_xx[0] == 0.0
 
 
 def test_weak_residual_zero_test_function(grid201):
+    # snapshots every 5 ms; the bump's time support (0.0155, 0.0195) holds
+    # none of them, so it is zero wherever the residual samples it
     h0 = Profile(grid=grid201, values=ic_steady(1.0, grid201), pressure=1.0)
     cfg = SolverConfig(
         pressure=1.0, n=201, dt=1e-3, t_final=0.03, epsilon=1e-2, output_every=5
     )
     traj = run(cfg, h0)
-    phi = SpaceTimeBump(
-        x_center=0.0, x_radius=0.5, t_center=0.015, t_radius=0.01, amplitude=0.0
-    )
-    assert weak_residual(traj, phi) == 0.0
+    assert weak_residual(traj, (0.0, 0.0175), (0.5, 0.002)) == 0.0
 
 
 def test_weak_residual_steady_is_quadrature_error(grid201):
@@ -196,10 +164,7 @@ def test_weak_residual_steady_is_quadrature_error(grid201):
         pressure=1.0, n=201, dt=1e-3, t_final=0.05, epsilon=1e-2, output_every=5
     )
     traj = run(cfg, h0)
-    phi = SpaceTimeBump(
-        x_center=0.2, x_radius=0.5, t_center=0.025, t_radius=0.02, amplitude=1.0
-    )
-    assert abs(weak_residual(traj, phi)) < 1e-5
+    assert abs(weak_residual(traj, (0.2, 0.025), (0.5, 0.02))) < 1e-5
 
 
 def test_weak_residual_rejects_bad_input(grid201):
@@ -208,44 +173,22 @@ def test_weak_residual_rejects_bad_input(grid201):
         pressure=1.0, n=201, dt=1e-3, t_final=0.05, epsilon=1e-2, output_every=100
     )
     traj = run(cfg, h0)  # start + final snapshot only
-    inside = SpaceTimeBump(
-        x_center=0.0, x_radius=0.5, t_center=0.025, t_radius=0.01, amplitude=1.0
-    )
-    with pytest.raises(ValueError):
-        weak_residual(traj, inside)
+    with pytest.raises(ValueError, match="at least 3 snapshots"):
+        weak_residual(traj, (0.0, 0.025), (0.5, 0.01))
 
     cfg_fine = SolverConfig(
         pressure=1.0, n=201, dt=1e-3, t_final=0.05, epsilon=1e-2, output_every=5
     )
     traj_fine = run(cfg_fine, h0)
-    wide = SpaceTimeBump(
-        x_center=0.8, x_radius=0.5, t_center=0.025, t_radius=0.01, amplitude=1.0
-    )
-    with pytest.raises(ValueError):
-        weak_residual(traj_fine, wide)
-    late = SpaceTimeBump(
-        x_center=0.0, x_radius=0.5, t_center=0.049, t_radius=0.01, amplitude=1.0
-    )
-    with pytest.raises(ValueError):
-        weak_residual(traj_fine, late)
+    with pytest.raises(ValueError, match="spatial domain"):
+        weak_residual(traj_fine, (0.8, 0.025), (0.5, 0.01))
+    with pytest.raises(ValueError, match="time window"):
+        weak_residual(traj_fine, (0.0, 0.049), (0.5, 0.01))
 
 
 def test_weak_residual_refines_under_space_time_refinement():
     # the trajectory error is first order in dt, the quadratures second
     # order; together a (dx, dt, snapshot spacing) halving must shrink the
     # residual by 3 or better
-    vals = []
-    for n, dt in ((201, 2e-4), (401, 1e-4)):
-        g = make_grid(n)
-        h0 = Profile(
-            grid=g, values=ic_steady_perturbed_poly(1.0, g, 0.05), pressure=1.0
-        )
-        cfg = SolverConfig(
-            pressure=1.0, n=n, dt=dt, t_final=0.25, epsilon=1e-2, output_every=25
-        )
-        traj = run(cfg, h0)
-        phi = SpaceTimeBump(
-            x_center=0.0, x_radius=0.8, t_center=0.125, t_radius=0.1, amplitude=1.0
-        )
-        vals.append(weak_residual(traj, phi))
+    vals = weak_residuals(((201, 2e-4), (401, 1e-4)))
     assert abs(vals[0]) / abs(vals[1]) >= 3.0

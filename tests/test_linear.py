@@ -142,7 +142,8 @@ def test_step_enforces_boundary_conditions(grid201):
 def test_step_residual_gate(grid201):
     h = perturbed_state(grid201)
     out = step_linear(h, np.ones(grid201.n), 1e-5, 1.0)
-    assert out.solver_residual <= 1e-9 * max(1.0, out.rhs_norm)
+    # rhs: 1 and P = 1 on the boundary rows, h on the interior rows
+    assert out.solver_residual <= 1e-9 * max(1.0, np.abs(h.values[2:-2]).max())
     assert out.backward_error <= RESIDUAL_RTOL
     assert out.backward_error < 1e-12
 
@@ -435,7 +436,6 @@ def test_backward_error_uses_dense_infinity_norm(
     a_norm = np.max(np.abs(band_to_dense(system.matrix)).sum(axis=1))
     x_norm = np.max(np.abs(out.profile.values))
     b_norm = np.max(np.abs(rhs))
-    assert out.rhs_norm == b_norm
     expected = out.solver_residual / (a_norm * x_norm + b_norm)
     assert out.backward_error == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -515,5 +515,4 @@ def test_step_matches_whole_array_formulation_bit_for_bit(
     out = step_linear(h, g, dt, pressure, crank_nicolson=crank_nicolson)
     assert out.profile.values.tobytes() == x.tobytes()
     assert out.solver_residual == residual
-    assert out.rhs_norm == rhs_norm
     assert out.backward_error == residual / (a_norm * x_norm + rhs_norm)
