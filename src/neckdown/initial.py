@@ -122,20 +122,43 @@ def ic_steady_perturbed_random(
     return values
 
 
+# the JSON types of a number; JSON integers are unbounded, so a number must
+# also convert to a double
+NUMBER = (int, float)
+
+
+def _is_double(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def check_json_type(name: str, value, kind, wanted: str, bound=None) -> None:
     """ValueError unless value has JSON type kind and meets bound; bools are
-    ints to isinstance, so only kind bool takes them."""
+    ints to isinstance, so only kind bool takes them, and kind NUMBER takes
+    no integer beyond the double range."""
     if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+            or (kind == NUMBER and not _is_double(value))
             or (bound is not None and not bound(value))):
         raise ValueError(f"{name} needs {wanted}, got {value!r:.40}")
 
 
 def check_json_numbers(name: str, value) -> np.ndarray:
-    """value as a float array, or ValueError unless it is a JSON list of
-    numbers; bools and numeric strings are not numbers."""
+    """value as a float64 array, or ValueError unless it is a JSON list of
+    numbers within the double range; bools and numeric strings are not
+    numbers.  One pass over the item types admits a list of ints and floats;
+    only a list that fails it, or holds an int beyond the double range, is
+    walked item by item to name the offender."""
     check_json_type(name, value, list, "a list of numbers")
+    if {int, float}.issuperset(map(type, value)):
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:
+            pass
     for item in value:
-        check_json_type(name, item, (int, float), "a list of numbers")
+        check_json_type(name, item, NUMBER, "a list of numbers")
     return np.asarray(value, dtype=float)
 
 

@@ -4,6 +4,12 @@ JSON, checkpoints.
 All floating-point text uses 17 significant digits, which round-trips IEEE
 doubles exactly; identical manifests therefore produce byte-identical files,
 and a checkpoint restores the solver state bit for bit.
+
+What the solver writes it reads back through one number check,
+`initial.check_json_numbers`: snapshot rows come back with their values as
+float64 arrays, and checkpoint states as profiles.  Bools, numeric strings
+and integers beyond the double range are rejected with a ValueError naming
+the key or the file line, which the command line turns into exit 2.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .evolve import (
     run,
 )
 from .grid import Profile, make_grid
-from .initial import build_initial_condition, check_json_numbers, check_json_type
+from .initial import NUMBER, build_initial_condition, check_json_numbers, check_json_type
 
 IC_FAMILIES = ("steady", "steady-perturbed-poly", "steady-perturbed-random", "file")
 
@@ -117,12 +123,28 @@ def write_snapshots_jsonl(traj: Trajectory, path: Path) -> None:
             )
 
 
+# %.17g writes -0.0 as "-0", which json reads as the int 0; the JSON number
+# -0 is the double -0.0, and reading it so keeps the sign of a zero
+_SNAPSHOT_DECODER = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else int(text))
+
+
 def read_snapshots_jsonl(path: Path) -> list[dict]:
+    """The rows of a snapshots file, each a dict whose 'values' is a float64
+    array; 't' and 'step' are as parsed.  A row that is no JSON object, lacks
+    'values' or holds anything but numbers there raises ValueError naming
+    its line."""
     rows = []
     with Path(path).open() as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            row = _SNAPSHOT_DECODER.decode(line)
+            where = f"{path} line {number}"
+            check_json_type(where, row, dict, "a JSON object")
+            if "values" not in row:
+                raise ValueError(f"{where} lacks the 'values' key")
+            row["values"] = check_json_numbers(f"{where} 'values'", row["values"])
+            rows.append(row)
     return rows
 
 
@@ -210,7 +232,7 @@ def write_checkpoint(traj: Trajectory, path: Path) -> None:
 _CHECKPOINT_KEYS = {
     "config": (dict, "an object", None),
     "step": (int, "a nonnegative integer", lambda step: step >= 0),
-    "cumulative_dissipation": ((int, float), "a number", None),
+    "cumulative_dissipation": (NUMBER, "a number", None),
     "values": (list, "a list of numbers", None),
     "history": (list, "a list of at most 2 states", lambda rows: len(rows) <= 2),
 }
@@ -256,7 +278,7 @@ def config_to_dict(cfg: SolverConfig) -> dict:
 
 
 # JSON types each SolverConfig annotation accepts from a config file
-_FILE_TYPES = {"bool": bool, "int": int, "float": (int, float)}
+_FILE_TYPES = {"bool": bool, "int": int, "float": NUMBER}
 
 
 def resolve_config(flags: dict, file_values: dict | None = None) -> SolverConfig:

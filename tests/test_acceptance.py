@@ -506,7 +506,7 @@ def test_10_reproducibility(tmp_path):
     final_second = read_snapshots_jsonl(second.snapshots_path)[-1]
     split_equal = (
         final_whole["t"] == final_second["t"]
-        and final_whole["values"] == final_second["values"]
+        and final_whole["values"].tobytes() == final_second["values"].tobytes()
         and report_whole["energy_final"] == report_second["energy_final"]
         and report_whole["cumulative_dissipation"]
         == report_second["cumulative_dissipation"]

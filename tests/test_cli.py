@@ -2,14 +2,18 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from neckdown.cli import _solver_config, build_parser, main
 from neckdown.evolve import RunStart, SolverConfig
@@ -27,6 +31,7 @@ from neckdown.io import (
     resolve_config,
     write_checkpoint,
     write_report_json,
+    write_snapshots_jsonl,
 )
 
 
@@ -78,6 +83,79 @@ def test_g17_row_matches_per_value_formatting(values, picard, sep):
     assert _g17_row(row, sep) == per_value(row)
 
 
+def _snapshot_trajectory(snapshots, times=None, steps=None):
+    """The three fields of a Trajectory that write_snapshots_jsonl reads."""
+    count = len(snapshots)
+    return SimpleNamespace(
+        times=np.arange(count) * 1e-4 if times is None else times,
+        snapshot_steps=np.arange(count) if steps is None else steps,
+        snapshots=[SimpleNamespace(values=values) for values in snapshots],
+    )
+
+
+SNAPSHOT_FLOATS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.sampled_from([9, 201, 801]), count=st.integers(1, 3))
+def test_snapshots_read_back_as_the_written_float64_arrays(tmp_path_factory, data, n, count):
+    """Generated domain: 1-3 rows of n in {9, 201, 801} doubles up to 1e+-300
+    in magnitude, with +-0 and subnormals drawn often, at any finite time and
+    nonnegative step."""
+    snapshots = [data.draw(arrays(np.float64, n, elements=SNAPSHOT_FLOATS)) for _ in range(count)]
+    times = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=count, max_size=count))
+    steps = data.draw(st.lists(st.integers(0, 10**9), min_size=count, max_size=count))
+    path = tmp_path_factory.mktemp("snap") / "snapshots.jsonl"
+    write_snapshots_jsonl(_snapshot_trajectory(snapshots, times, steps), path)
+    rows = read_snapshots_jsonl(path)
+    assert [(row["t"], row["step"]) for row in rows] == list(zip(times, steps))
+    for row, values in zip(rows, snapshots):
+        assert row["values"].dtype == np.float64
+        assert row["values"].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        '{"t": 0.1, "step": 1, "values": [1.0, true, 1.0]}',
+        '{"t": 0.1, "step": 1, "values": [1.0, "0.5", 1.0]}',
+        '{"t": 0.1, "step": 1}',
+        '{"t": 0.1, "step": 1, "values": {"0": 1.0}}',
+        '[0.1, 1, [1.0, 0.5, 1.0]]',
+    ],
+    ids=["bool", "numeric-string", "no-values-key", "values-object", "row-list"],
+)
+def test_malformed_snapshot_row_is_rejected_naming_its_line(tmp_path, bad_row):
+    """np.asarray would read true as 1.0 and "0.5" as 0.5; the reader names
+    the line instead."""
+    path = tmp_path / "snapshots.jsonl"
+    path.write_text('{"t": 0, "step": 0, "values": [1.0, 0.5, 1.0]}\n' + bad_row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 2")):
+        read_snapshots_jsonl(path)
+
+
+def test_reading_snapshots_peaks_below_twice_the_arrays(tmp_path):
+    """A 200 x 801 file read back holds float64 arrays, not lists of Python
+    floats (about 32 bytes per value): the traced peak of the read stays
+    below twice the arrays' own bytes."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "snapshots.jsonl"
+    write_snapshots_jsonl(_snapshot_trajectory(list(rng.standard_normal((200, 801)))), path)
+    tracemalloc.start()
+    try:
+        rows = read_snapshots_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array_bytes = sum(row["values"].nbytes for row in rows)
+    assert array_bytes == 200 * 801 * 8
+    assert peak < 2 * array_bytes
+
+
 def test_resolve_config_precedence():
     cfg = resolve_config({"pressure": None, "dt": None}, {"pressure": 1.0})
     assert cfg.pressure == 1.0 and cfg.dt == 1e-5      # file + default
@@ -98,15 +176,18 @@ def test_resolve_config_precedence():
         {"pressure": "1.5"},
         {"pressure": 1.5, "n": 201.0},
         {"pressure": True},
+        {"pressure": 1.5, "dt": 10**400},
     ],
 )
 def test_cli_config_file_value_of_the_wrong_type_exits_two(tmp_path, capsys, file_values):
+    """The last key holds the bad value; an integer beyond the double range
+    is no float."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(file_values))
     rc = main(["run", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    bad_key = "n" if "n" in file_values else "pressure"
+    bad_key = list(file_values)[-1]
     assert f"config file key {bad_key!r}" in err
     assert not (tmp_path / "out").exists()
 
@@ -315,9 +396,12 @@ def test_cli_restore_past_t_final_exits_two(tmp_path, capsys):
         (lambda s: {**s, "values": [True] * len(s["values"])}, "'values'"),
         (lambda s: {**s, "history": [s["history"][0], ["%.17g" % v for v in s["history"][1]]]},
          "'history'"),
+        (lambda s: {**s, "cumulative_dissipation": 10**400}, "'cumulative_dissipation'"),
+        (lambda s: {**s, "history": [s["history"][0], [10**400, *s["history"][1][1:]]]},
+         "'history'"),
     ],
     ids=["no-step", "negative-step", "values-object", "dissipation-string", "top-level-list",
-         "bools", "numeric-strings"],
+         "bools", "numeric-strings", "huge-int-dissipation", "huge-int-history"],
 )
 def test_cli_restore_of_a_malformed_checkpoint_exits_two(tmp_path, capsys, edit, named):
     """A checkpoint with a key missing, mistyped or out of range, or one that
@@ -358,7 +442,7 @@ def test_split_run_continues_bit_for_bit(tmp_path):
 
     rows_whole = read_snapshots_jsonl(whole.snapshots_path)
     rows_second = read_snapshots_jsonl(second.snapshots_path)
-    assert rows_whole[-1]["values"] == rows_second[-1]["values"]
+    assert rows_whole[-1]["values"].tobytes() == rows_second[-1]["values"].tobytes()
     assert rows_whole[-1]["t"] == rows_second[-1]["t"]
     assert report_whole["energy_final"] == report_second["energy_final"]
     assert (
@@ -476,8 +560,10 @@ def test_cli_bad_arguments_exit_two(tmp_path, capsys):
         ({"values": [True] * 51}, "'values' needs a list of numbers"),
         ({"values": ["%.17g" % v for v in ic_steady(1.0, make_grid(51))]},
          "'values' needs a list of numbers"),
+        ({"values": [10**400, *ic_steady(1.0, make_grid(51))[1:].tolist()]},
+         "'values' needs a list of numbers"),
     ],
-    ids=["list", "no-values-key", "values-object", "bools", "numeric-strings"],
+    ids=["list", "no-values-key", "values-object", "bools", "numeric-strings", "huge-int"],
 )
 def test_cli_malformed_ic_file_exits_two(tmp_path, capsys, payload, complaint):
     """A JSON file of the wrong shape is a configuration error like any
@@ -671,4 +757,5 @@ def test_cli_restores_a_checkpoint_whose_film_went_negative(tmp_path):
     assert main([*common, "--t-final", "0.09", "--out-dir", str(tmp_path / "whole")]) == 0
     resumed = read_snapshots_jsonl(tmp_path / "b" / "snapshots.jsonl")[-1]
     whole = read_snapshots_jsonl(tmp_path / "whole" / "snapshots.jsonl")[-1]
-    assert resumed == whole
+    assert (resumed["t"], resumed["step"]) == (whole["t"], whole["step"])
+    assert resumed["values"].tobytes() == whole["values"].tobytes()
