@@ -4,15 +4,16 @@ Each step freezes the mobility at the current Picard iterate, g = sqrt(h^2 +
 eps^2) (or a floored copy of h when eps = 0), solves the implicit linear
 problem, and repeats until the iterates settle in H^1.  The first iterate is
 extrapolated from the last accepted states, so a smooth run usually settles
-after one solve.  Runs log an energy ledger every step and snapshots on a
-stride, and stop on reaching the final time, on the minimum height crossing
-the pinch floor, or on failure.
+after one solve.  Runs log an energy ledger every step, evaluated once per
+block of accepted states, and snapshots on a stride, and stop on reaching the
+final time, on the minimum height crossing the pinch floor, or on failure.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ CURVATURE_ROW_TOL = 1e-6
 
 PINCH_TAIL_ROWS = 50         # trailing min-series rows of detect_pinch's ln h_min fit
 DECAY_FIT_MIN_POINTS = 20    # snapshots decay_rate needs in the run's second half
+BLOCK = 64                   # accepted states per evaluation of the per-step diagnostics
 
 
 class PicardConvergenceError(RuntimeError):
@@ -63,6 +65,10 @@ class SolverConfig:
     simpson: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.pressure <= 0:
             raise ValueError(f"pressure must satisfy P>0, got {self.pressure}")
         if self.n < 9 or self.n % 2 == 0:
@@ -206,13 +212,92 @@ def _validate_initial(h0: Profile, cfg: SolverConfig, fresh: bool) -> None:
         raise ValueError("initial data must be strictly positive")
 
 
+class _StepDiagnostics:
+    """A run's per-step diagnostics, evaluated once per block of accepted
+    states: the ledger row (energy, dissipation, and the running integral of
+    the dissipation at each step's midpoint), the nodal minimum and, under
+    flux_diagnostics, the flux report.
+
+    states holds the state before the block in row 0 and the block's
+    accepted states after it; flush evaluates them with one call per
+    functional on the stack, each row getting the bits of its own 1-D call,
+    then sums the integral step by step, in order.  The buffers are
+    allocated once per run and reused by every block.
+    """
+
+    def __init__(self, cfg: SolverConfig, h0: Profile, step: int, cum: float):
+        self.cfg = cfg
+        self.grid = grid = h0.grid
+        self.step = step                # the step of states[0]
+        self.cum = cum
+        self.filled = 0
+        self.states = np.empty((BLOCK + 1, grid.n))
+        self.states[0] = h0.values
+        self.midpoints = np.empty((BLOCK, grid.n))
+        t = step * cfg.dt
+        x_m, h_m = min_value(h0)
+        self.ledger = [
+            EnergyLedger(
+                time=t,
+                energy=energy(h0.values, grid, cfg.pressure, cfg.rule),
+                dissipation=dissipation(h0.values, grid, cfg.rule),
+                cumulative_dissipation=cum,
+            )
+        ]
+        self.mins = [(t, x_m, h_m)]
+        self.flux_rows: list[FluxEnergyReport] = []
+
+    def push(self, values: np.ndarray) -> None:
+        """Take the next accepted state; a full block is evaluated at once."""
+        self.filled += 1
+        self.states[self.filled] = values
+        if self.filled == BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Evaluate the states taken since the last flush; every exit path
+        of a run calls it once more."""
+        m = self.filled
+        if m == 0:
+            return
+        cfg, grid, rule = self.cfg, self.grid, self.cfg.rule
+        block = self.states[: m + 1]
+        new = block[1:]
+        midpoints = self.midpoints[:m]
+        np.add(block[:-1], new, out=midpoints)
+        midpoints *= 0.5
+        energies = energy(new, grid, cfg.pressure, rule).tolist()
+        dissipations = dissipation(new, grid, rule).tolist()
+        increments = (cfg.dt * dissipation(midpoints, grid, rule)).tolist()
+        where = np.argmin(new, axis=1)
+        x_min = grid.nodes[where].tolist()
+        h_min = new[np.arange(m), where].tolist()
+        times = [(self.step + j) * cfg.dt for j in range(1, m + 1)]
+        for t, e, d, increment, x_m, h_m in zip(
+            times, energies, dissipations, increments, x_min, h_min
+        ):
+            self.cum += increment
+            self.ledger.append(
+                EnergyLedger(time=t, energy=e, dissipation=d, cumulative_dissipation=self.cum)
+            )
+            self.mins.append((t, x_m, h_m))
+        if cfg.flux_diagnostics:
+            self.flux_rows += flux_energy_report(
+                block, _mobility(block, cfg), grid, cfg.dt, times
+            )
+        self.states[0] = self.states[m]
+        self.step += m
+        self.filled = 0
+
+
 def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajectory:
     """Advance the model from h0 until t_final, the pinch floor, or failure.
 
     Without start, h0 is fresh initial data at step 0; with it, h0 is a
     restored state and start.history seeds the Picard predictor.  Step k is
     stamped with time k * dt either way.  A start past t_final is an error;
-    one at t_final takes no step.
+    one at t_final takes no step.  The step loop itself keeps only what the
+    next step reads; the ledger is evaluated per block of BLOCK steps.
     """
     _validate_initial(h0, cfg, fresh=start is None)
     grid = h0.grid
@@ -220,38 +305,25 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     if h0.pressure != cfg.pressure:
         h0 = Profile(grid=grid, values=h0.values, pressure=cfg.pressure)
 
-    rule = cfg.rule
     total_steps = int(round(cfg.t_final / cfg.dt))
     if total_steps < 1:
         raise ValueError("t_final must allow at least one step")
     if start.step > total_steps:
         raise ValueError("restart point is already past the configured t_final")
 
-    t_start = start.step * cfg.dt
-    cum = start.cumulative_dissipation
+    diagnostics = _StepDiagnostics(cfg, h0, start.step, start.cumulative_dissipation)
     h = h0
-    x_m, h_m = min_value(h)
-    ledger = [
-        EnergyLedger(
-            time=t_start,
-            energy=energy(h, cfg.pressure, rule),
-            dissipation=dissipation(h.values, grid, rule),
-            cumulative_dissipation=cum,
-        )
-    ]
-    mins = [(t_start, x_m, h_m)]
     iters_list = [0]
     snapshots = [h]
-    snap_times = [t_start]
+    snap_times = [start.step * cfg.dt]
     snap_steps = [start.step]
-    flux_rows: list[FluxEnergyReport] = []
     max_residual = 0.0
     termination = None
     failure_message = None
 
     history = start.history
     k = start.step
-    if cfg.pinch_floor > 0.0 and h_m <= cfg.pinch_floor:
+    if cfg.pinch_floor > 0.0 and h.values.min() <= cfg.pinch_floor:
         termination = Termination.PINCH_DETECTED
     while termination is None:
         if k >= total_steps:
@@ -268,46 +340,23 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
             failure_message = str(exc)
             break
         k += 1
-        t_new = k * cfg.dt
-        h_new = result.profile
         max_residual = max(max_residual, result.solver_residual)
-
-        cum += cfg.dt * dissipation(0.5 * (h.values + h_new.values), grid, rule)
-        ledger.append(
-            EnergyLedger(
-                time=t_new,
-                energy=energy(h_new, cfg.pressure, rule),
-                dissipation=dissipation(h_new.values, grid, rule),
-                cumulative_dissipation=cum,
-            )
-        )
-        x_m, h_m = min_value(h_new)
-        mins.append((t_new, x_m, h_m))
         iters_list.append(iters)
-        if cfg.flux_diagnostics:
-            flux_rows.append(
-                flux_energy_report(
-                    h_new,
-                    _mobility(h_new.values, cfg),
-                    h,
-                    _mobility(h.values, cfg),
-                    cfg.dt,
-                    time=t_new,
-                )
-            )
         history = (*history[-1:], h.values)
-        h = h_new
+        h = result.profile
+        diagnostics.push(h.values)
         if k % cfg.output_every == 0:
             snapshots.append(h)
-            snap_times.append(t_new)
+            snap_times.append(k * cfg.dt)
             snap_steps.append(k)
-        if cfg.pinch_floor > 0.0 and h_m <= cfg.pinch_floor:
+        if cfg.pinch_floor > 0.0 and h.values.min() <= cfg.pinch_floor:
             termination = Termination.PINCH_DETECTED
             break
+    diagnostics.flush()
 
     if snap_steps[-1] != k:
         snapshots.append(h)
-        snap_times.append(ledger[-1].time)
+        snap_times.append(diagnostics.ledger[-1].time)
         snap_steps.append(k)
 
     return Trajectory(
@@ -316,14 +365,14 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         times=np.asarray(snap_times),
         snapshots=snapshots,
         snapshot_steps=np.asarray(snap_steps, dtype=int),
-        ledger=ledger,
-        min_series=np.asarray(mins),
+        ledger=diagnostics.ledger,
+        min_series=np.asarray(diagnostics.mins),
         picard_iters=np.asarray(iters_list, dtype=int),
         termination=termination,
         failure_message=failure_message,
-        flux_reports=flux_rows,
+        flux_reports=diagnostics.flux_rows,
         max_solver_residual=max_residual,
-        end=RunStart(step=k, cumulative_dissipation=cum, history=history),
+        end=RunStart(step=k, cumulative_dissipation=diagnostics.cum, history=history),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, Profile, derivative, quadrature
+from .grid import Grid, derivative, quadrature
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,21 +25,28 @@ class EnergyLedger:
     cumulative_dissipation: float
 
 
-def energy(p: Profile, pressure: float, rule: str = "trapezoid") -> float:
-    """E(h) = 1/2 int |d1 h|^2 + P int h."""
-    d1 = derivative(p.values, p.grid.dx, 1)
-    return 0.5 * quadrature(d1 * d1, p.grid, rule) + pressure * quadrature(
-        p.values, p.grid, rule
-    )
+def energy(
+    values: np.ndarray, grid: Grid, pressure: float, rule: str = "trapezoid"
+) -> float | np.ndarray:
+    """E(h) = 1/2 int |d1 h|^2 + P int h of a nodal field, or of each row of
+    a (k, n) stack, where each row gets the bits of its own 1-D call."""
+    d1 = derivative(values, grid.dx, 1)
+    d1 *= d1
+    return 0.5 * quadrature(d1, grid, rule) + pressure * quadrature(values, grid, rule)
 
 
-def dissipation(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float:
-    """D(h) = int h |d3 h|^2 of a nodal field, with negative h clipped to zero.
+def dissipation(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float | np.ndarray:
+    """D(h) = int h |d3 h|^2 of a nodal field, or of each row of a (k, n)
+    stack, with negative h clipped to zero.
 
     Clipping keeps the reported rate nonnegative when roundoff or a
     regularized run lets a node dip below zero.  It takes raw values, as
-    h1_norm does, so the step loop's midpoint needs no Profile.
+    h1_norm does, so the run loop's midpoints need no Profile.  The
+    products h * d3 * d3 are taken in place, in that order, so a stack
+    holds few temporaries at once.
     """
     d3 = derivative(values, grid.dx, 3)
-    h = np.maximum(values, 0.0)
-    return quadrature(h * d3 * d3, grid, rule)
+    integrand = np.maximum(values, 0.0)
+    integrand *= d3
+    integrand *= d3
+    return quadrature(integrand, grid, rule)

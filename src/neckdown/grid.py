@@ -16,12 +16,14 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 
-# scipy's private C++ kernel under `csr_matrix @ vector`: y += A x over the
-# stored entries of each row, in storage order.  Called here on a zeroed y,
-# it returns the bits of `op @ v` without scipy.sparse's per-call dispatch.
-# It is not public API and checks no lengths; test_grid pins both the import
-# and the equality.
-from scipy.sparse._sparsetools import csr_matvec
+# scipy's private C++ kernels under `csr_matrix @ vector` and `@ (n, k)
+# block`: y += A x over the stored entries of each row, in storage order, with
+# csr_matvecs adding each term to all k columns of a row at once.  Called here
+# on a zeroed y, they return the bits of `op @ v` without scipy.sparse's
+# per-call dispatch, and each column of a block gets the bits of its own
+# product.  They are not public API and check no lengths; test_grid pins the
+# imports and the equalities.
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 MIN_NODES = 9
 
@@ -154,43 +156,56 @@ def _derivative_operator(n: int, order: int) -> sp.csr_matrix:
 
 
 def _apply(op: sp.csr_matrix, values: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """(op @ values) / dx**order, bit for bit, through csr_matvec.
+    """(op @ values) / dx**order, bit for bit, of one field (n,) through
+    csr_matvec, or of each row of a (k, n) stack through csr_matvecs on its
+    (n, k) transpose; a stack comes back as a C-ordered (k, n) array.
 
-    The kernel reads n entries of values whatever its length, so a field
-    of any shape but (n,) is a ValueError here, before the call.
+    The kernels read n entries per field whatever the array holds, so any
+    other shape is a ValueError here, before the call.
     """
     n = op.shape[0]
-    if np.shape(values) != (n,):
-        raise ValueError(f"field has shape {np.shape(values)}, operator has {n} nodes")
-    out = np.zeros(n)
-    csr_matvec(n, n, op.indptr, op.indices, op.data, values, out)
+    shape = np.shape(values)
+    if shape == (n,):
+        out = np.zeros(n)
+        csr_matvec(n, n, op.indptr, op.indices, op.data, values, out)
+    elif len(shape) == 2 and shape[1] == n:
+        columns = np.zeros((n, shape[0]))
+        csr_matvecs(n, n, shape[0], op.indptr, op.indices, op.data,
+                    np.ascontiguousarray(np.transpose(values), dtype=float).ravel(),
+                    columns.ravel())
+        out = np.ascontiguousarray(columns.T)
+    else:
+        raise ValueError(f"field has shape {shape}, operator has {n} nodes")
     out /= dx**order
     return out
 
 
 def derivative(values: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """k-th finite-difference derivative of a one-dimensional nodal field,
-    on all nodes."""
+    """k-th finite-difference derivative, on all nodes, of a one-dimensional
+    nodal field or of each row of a (k, n) stack of fields."""
     if order not in _HALF_WIDTH:
         raise ValueError(f"derivative order must be in 1..5, got {order}")
-    return _apply(_derivative_operator(len(values), order), values, dx, order)
+    return _apply(_derivative_operator(np.shape(values)[-1], order), values, dx, order)
 
 
-def quadrature(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float:
-    """Integrate a nodal field over [-1, 1].
+def quadrature(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float | np.ndarray:
+    """Integrate a nodal field over [-1, 1], or each row of a (k, n) stack.
 
     rule is "trapezoid" (default) or "simpson"; the node count is odd so the
     composite Simpson rule always applies. It is summed the way
     scipy.integrate.simpson sums an odd count at spacing dx, bit for bit,
-    without importing scipy.integrate.
+    without importing scipy.integrate.  A stack is reduced row by row over
+    contiguous rows, so each row gets the pairwise sum of its own 1-D call.
     """
-    if len(values) != grid.n:
-        raise ValueError(f"field has {len(values)} values on a {grid.n}-node grid")
+    values = np.ascontiguousarray(values)
+    if values.shape[-1] != grid.n:
+        raise ValueError(f"field has {values.shape[-1]} values on a {grid.n}-node grid")
     if rule == "trapezoid":
-        return grid.dx * (np.add.reduce(values) - 0.5 * (values[0] + values[-1]))
+        # values.T[0] is the first node of the field, or of every row
+        return grid.dx * (np.add.reduce(values, -1) - 0.5 * (values.T[0] + values.T[-1]))
     if rule == "simpson":
-        panels = values[0:-2:2] + 4.0 * values[1:-1:2] + values[2::2]
-        return float(np.add.reduce(panels) * (grid.dx / 3.0))
+        panels = values[..., 0:-2:2] + 4.0 * values[..., 1:-1:2] + values[..., 2::2]
+        return np.add.reduce(panels, -1) * (grid.dx / 3.0)
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 

@@ -119,11 +119,11 @@ def test_01_steady_family_exactness(grid201, grid401):
     quad_coarse = []
     for pressure in (1.0, 2.0, 8.0):
         e201 = abs(
-            energy(steady_profile(pressure, grid201).profile, pressure)
+            energy(steady_profile(pressure, grid201).profile.values, grid201, pressure)
             - steady_energy(pressure)
         )
         e401 = abs(
-            energy(steady_profile(pressure, grid401).profile, pressure)
+            energy(steady_profile(pressure, grid401).profile.values, grid401, pressure)
             - steady_energy(pressure)
         )
         quad_coarse.append(e201)

@@ -552,6 +552,31 @@ def test_cli_bad_arguments_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--t-final", "inf", "t_final"),
+        ("--epsilon", "nan", "epsilon"),
+        ("--pinch-floor", "inf", "pinch_floor"),
+        ("--pressure", "nan", "pressure"),
+        ("--dt", "-inf", "dt"),
+        ("--picard-tol", "inf", "picard_tol"),
+        ("--picard-tol", "nan", "picard_tol"),
+    ],
+)
+def test_cli_non_finite_value_exits_two(tmp_path, capsys, flag, value, field):
+    """A non-finite float in any solver field is a configuration error: exit
+    2 naming the field, with no artifact written.  Unchecked, inf t_final
+    crashed on the step count, and NaN epsilon or inf pinch_floor ran to exit
+    0 with NaN or Infinity in report.json."""
+    out = tmp_path / "out"
+    argv = ["run", "--pressure", "1", "--n", "51", "--dt", "1e-3", "--t-final", "0.01"]
+    rc = main(argv + [f"{flag}={value}", "--out-dir", str(out)])
+    assert rc == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
     "payload, complaint",
     [
         ([1, 2], "initial-condition file needs a JSON object"),

@@ -1,15 +1,18 @@
 """Tests for the nonlinear stepper, run loop, and trajectory diagnostics."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neckdown.grid import Profile, h1_norm, make_grid
+from neckdown.functionals import dissipation, energy
+from neckdown.grid import Profile, h1_norm, make_grid, min_value
 from neckdown.initial import ic_steady_perturbed_poly, project_boundary_rows
 from neckdown.steady import contact_point, parabola, steady_profile
+from neckdown.linear import flux_energy_report
 from neckdown.evolve import (
+    BLOCK,
     PicardConvergenceError,
     RunStart,
     SolverConfig,
@@ -20,6 +23,7 @@ from neckdown.evolve import (
     epsilon_continuation,
     relaxation_check,
     run,
+    _mobility,
     step_nonlinear,
 )
 from neckdown.verify import (
@@ -359,6 +363,104 @@ def test_resumed_ledger_times_match_unsplit_run():
     stamp step 10 with 0.010000000000000002 against 0.01 here."""
     whole, second = whole_and_resumed(1, 1.0, 0.0, 1e-3)
     assert [r.time for r in second.ledger[1:]] == [r.time for r in whole.ledger[2:]]
+
+
+def per_step_diagnostics(traj: Trajectory, cum: float = 0.0) -> list[np.ndarray]:
+    """traj's ledger rows, minimum series and flux reports recomputed the way
+    the step loop logged them before block evaluation: one state or one
+    step per call, with the dissipation integral summed in order from cum.
+    traj must keep every state (output_every = 1)."""
+    cfg, grid = traj.config, traj.grid
+    steps = traj.snapshot_steps.tolist()
+    assert steps == list(range(steps[0], steps[-1] + 1))
+    ledger, mins, flux = [], [], []
+    prev = None
+    for k, state in zip(steps, traj.snapshots):
+        t = k * cfg.dt
+        h = state.values
+        if prev is not None:
+            cum += cfg.dt * dissipation(0.5 * (prev + h), grid, cfg.rule)
+            if cfg.flux_diagnostics:
+                g = np.stack([_mobility(prev, cfg), _mobility(h, cfg)])
+                flux += flux_energy_report(np.stack([prev, h]), g, grid, cfg.dt, [t])
+        ledger.append(
+            (t, energy(h, grid, cfg.pressure, cfg.rule), dissipation(h, grid, cfg.rule), cum)
+        )
+        mins.append((t, *min_value(state)))
+        prev = h
+    return [np.array(ledger), np.array(mins), np.array([astuple(r) for r in flux])]
+
+
+def diagnostics(traj: Trajectory) -> list[np.ndarray]:
+    """traj's ledger, minimum series and flux reports as arrays of rows."""
+    return [
+        np.array([astuple(r) for r in traj.ledger]),
+        traj.min_series,
+        np.array([astuple(r) for r in traj.flux_reports]),
+    ]
+
+
+def assert_same_bits(got: list[np.ndarray], want: list[np.ndarray]) -> None:
+    for name, a, b in zip(("ledger", "min_series", "flux_reports"), got, want, strict=True):
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "steps, termination, config",
+    [
+        (1, Termination.REACHED_T_FINAL, dict(t_final=1e-4)),
+        (BLOCK, Termination.REACHED_T_FINAL, dict(t_final=BLOCK * 1e-4)),
+        (2 * BLOCK + 1, Termination.REACHED_T_FINAL, dict(t_final=(2 * BLOCK + 1) * 1e-4)),
+        (78, Termination.PINCH_DETECTED, dict(dt=1e-3, t_final=1.0)),
+        (406, Termination.PICARD_FAILURE, dict(
+            dt=2e-4, t_final=0.3, epsilon=1e-5, picard_max=4, pinch_floor=0.0)),
+    ],
+    ids=["one-step", "one-block", "two-blocks-and-one", "pinch", "picard-failure"],
+)
+def test_block_ledger_matches_per_step_evaluation(steps, termination, config):
+    """The ledger, minimum series and flux reports are evaluated once per
+    block of BLOCK accepted states, and on every exit path; each must be
+    the bytes the per-step calls give, for runs that end on a block
+    boundary or mid-block, at t_final, at the pinch floor (step 78 of the
+    P = 4 run at n = 51, dt = 1e-3) and on a Picard failure (step 407
+    fails)."""
+    grid = make_grid(51)
+    cfg = SolverConfig(**{
+        "pressure": 4.0, "n": 51, "dt": 1e-4, "epsilon": 0.0, "output_every": 1,
+        "flux_diagnostics": True, **config,
+    })
+    h0 = Profile(grid=grid, values=ic_steady_perturbed_poly(4.0, grid, 1.2), pressure=4.0)
+    traj = run(cfg, h0)
+    assert traj.termination is termination
+    assert len(traj.ledger) == steps + 1
+    assert len(traj.flux_reports) == steps
+    assert_same_bits(diagnostics(traj), per_step_diagnostics(traj))
+
+
+def test_split_block_ledger_matches_per_step_evaluation():
+    """A Simpson run split mid-block at step 70 and resumed to step 150:
+    each leg's ledger, minimum series and flux reports are the per-step
+    bytes, the second leg summing the integral from the first leg's end,
+    and together they repeat the unsplit run's."""
+    grid = make_grid(51)
+    cfg = SolverConfig(pressure=1.5, n=51, dt=1e-4, t_final=150e-4, epsilon=1e-2,
+                       output_every=1, flux_diagnostics=True, simpson=True)
+    h0 = Profile(grid=grid, values=ic_steady_perturbed_poly(1.5, grid, 0.3), pressure=1.5)
+    whole = run(cfg, h0)
+    first = run(replace(cfg, t_final=70e-4), h0)
+    second = run(cfg, first.final, start=first.end)
+    assert_same_bits(diagnostics(first), per_step_diagnostics(first))
+    assert_same_bits(
+        diagnostics(second), per_step_diagnostics(second, first.end.cumulative_dissipation)
+    )
+    ledger_1, mins_1, flux_1 = diagnostics(first)
+    ledger_2, mins_2, flux_2 = diagnostics(second)
+    assert_same_bits(
+        [np.concatenate([ledger_1, ledger_2[1:]]), np.concatenate([mins_1, mins_2[1:]]),
+         np.concatenate([flux_1, flux_2])],
+        diagnostics(whole),
+    )
 
 
 def test_restored_state_need_not_be_positive(grid):

@@ -25,12 +25,12 @@ from neckdown.verify import (
 
 def test_energy_constant_profile(grid201):
     p = Profile(grid=grid201, values=np.ones(201), pressure=1.0)
-    assert energy(p, 1.0) == pytest.approx(2.0, rel=1e-14)
+    assert energy(p.values, grid201, 1.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_energy_steady_profile(grid201):
     state = steady_profile(1.0, grid201)
-    assert energy(state.profile, 1.0) == pytest.approx(5.0 / 3.0, abs=1e-4)
+    assert energy(state.profile.values, grid201, 1.0) == pytest.approx(5.0 / 3.0, abs=1e-4)
 
 
 def test_energy_sine_gradient_term(grid201):
@@ -39,7 +39,7 @@ def test_energy_sine_gradient_term(grid201):
         grid=grid201, values=1.0 + 0.1 * np.sin(np.pi * grid201.nodes), pressure=1.0
     )
     expected = 0.5 * (0.1 * np.pi) ** 2
-    assert energy(p, 0.0) == pytest.approx(expected, abs=1e-4)
+    assert energy(p.values, grid201, 0.0) == pytest.approx(expected, abs=1e-4)
 
 
 def test_dissipation_vanishes_on_quadratics(grid201):

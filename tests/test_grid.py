@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from neckdown import Profile, make_grid, min_value, quadrature
+from neckdown import Profile, dissipation, energy, make_grid, min_value, quadrature
 from neckdown.grid import _derivative_operator, derivative, h1_norm
 
 
@@ -227,15 +227,63 @@ def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials
     assert h1_norm(vals, grid).hex() == expected.hex()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([9, 201, 801]),
+    k=st.sampled_from([1, 2, 63, 64, 65]),
+    rule=st.sampled_from(["trapezoid", "simpson"]),
+    layout=st.sampled_from(["contiguous", "rows-of-a-buffer", "fortran"]),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(_SPECIAL, max_size=40),
+)
+def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, rule, layout, seed, specials):
+    """derivative, quadrature, energy and dissipation take a (k, n) stack
+    through csr_matvecs and row-wise reductions; every row must get the
+    bytes of its own 1-D call, on negative nodes (the dissipation clip),
+    signed zeros, subnormals and magnitudes from 1e-8 to 1e8, whatever the
+    layout of the stack."""
+    grid = make_grid(n)
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (k, n))
+    dense.flat[rng.integers(0, k * n, len(specials))] = specials
+    if layout == "contiguous":
+        stack = dense
+    elif layout == "rows-of-a-buffer":
+        stack = np.zeros((k + 2, n))[1:-1]
+        stack[:] = dense
+    else:
+        stack = np.asfortranarray(dense)
+    rows = [np.array(row) for row in dense]
+    for order in range(1, 6):
+        stacked = derivative(stack, grid.dx, order)
+        assert stacked.shape == (k, n)
+        for row, got in zip(rows, stacked):
+            assert got.tobytes() == derivative(row, grid.dx, order).tobytes()
+    per_field = {
+        "quadrature": [quadrature(row, grid, rule) for row in rows],
+        "energy": [energy(row, grid, 1.5, rule) for row in rows],
+        "dissipation": [dissipation(row, grid, rule) for row in rows],
+    }
+    stacked = {
+        "quadrature": quadrature(stack, grid, rule),
+        "energy": energy(stack, grid, 1.5, rule),
+        "dissipation": dissipation(stack, grid, rule),
+    }
+    for name, values in per_field.items():
+        assert stacked[name].shape == (k,), name
+        assert stacked[name].tobytes() == np.array(values).tobytes(), name
+
+
 def test_kernel_path_rejects_fields_of_the_wrong_shape(grid201):
-    """The raw kernel reads n entries whatever the field holds, so a
-    mismatch must raise before it runs.  h1_norm's operator is the grid's;
-    derivative builds its own from len(values), so only a field that is not
-    one-dimensional can disagree with it."""
+    """The raw kernels read n entries per field whatever the array holds, so
+    a mismatch must raise before they run.  h1_norm's operator is the
+    grid's; derivative builds its own from the last axis, so a (k, n) stack
+    is fine and only an array whose rows are too short for the stencil, or
+    that has more than two axes, can disagree with it."""
     for length in (9, 199, 200, 202, 401):
         with pytest.raises(ValueError):
             h1_norm(np.ones(length), grid201)
-    for shape in ((201, 1), (201, 2)):
+    for shape in ((201, 1), (201, 2), (2, 3, 201)):
         for k in range(1, 6):
             with pytest.raises(ValueError):
                 derivative(np.ones(shape), grid201.dx, k)

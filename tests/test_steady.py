@@ -42,7 +42,7 @@ def test_steady_energy_matches_quadrature():
     g = make_grid(401)
     for P in (0.5, 1.0, 2.0, 4.5, 8.0):
         state = steady_profile(P, g)
-        e_num = energy(state.profile, P)
+        e_num = energy(state.profile.values, g, P)
         assert e_num == pytest.approx(steady_energy(P), abs=5e-4)
 
 
