@@ -21,7 +21,7 @@ from .functionals import EnergyLedger, dissipation, energy
 from .grid import Grid, Profile, derivative, h1_norm, min_value
 from .initial import bc_residuals
 from .linear import FluxEnergyReport, LinearSolveError, StepResult, flux_energy_report, step_linear
-from .steady import steady_profile
+from .steady import check_pressure, steady_profile
 
 VALUE_ROW_TOL = 1e-9
 CURVATURE_ROW_TOL = 1e-6
@@ -69,8 +69,7 @@ class SolverConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.pressure <= 0:
-            raise ValueError(f"pressure must satisfy P>0, got {self.pressure}")
+        check_pressure(self.pressure)
         if self.n < 9 or self.n % 2 == 0:
             raise ValueError(f"n must be odd and >= 9, got {self.n}")
         if self.dt <= 0:
@@ -154,9 +153,10 @@ def _predictor(values: np.ndarray, history: tuple[np.ndarray, ...]) -> np.ndarra
 
 
 def step_nonlinear(
-    h_old: Profile, cfg: SolverConfig, history: tuple[np.ndarray, ...] = ()
+    values: np.ndarray, grid: Grid, cfg: SolverConfig, history: tuple[np.ndarray, ...] = ()
 ) -> tuple[StepResult, int]:
-    """One implicit step with coefficient-lagged fixed-point iteration.
+    """One implicit step from the nodal values h_old, with coefficient-lagged
+    fixed-point iteration.
 
     The iteration starts from the extrapolation of h_old through history,
     the values of up to two accepted states before h_old, oldest first; the
@@ -166,21 +166,19 @@ def step_nonlinear(
     settle to picard_tol relative in H^1, and LinearSolveError on solver
     trouble.
     """
-    grid = h_old.grid
-    if cfg.epsilon == 0.0 and h_old.values.min() <= cfg.pinch_floor:
+    if cfg.epsilon == 0.0 and values.min() <= cfg.pinch_floor:
         raise ValueError(
             "unregularized step requires min(h) above the pinch floor"
         )
-    scale = h1_norm(h_old.values, grid)
-    prev = _predictor(h_old.values, history)
-    result = None
+    scale = h1_norm(values, grid)
+    prev = _predictor(values, history)
     for iteration in range(1, cfg.picard_max + 1):
         g = _mobility(prev, cfg)
         result = step_linear(
-            h_old, g, cfg.dt, cfg.pressure, crank_nicolson=cfg.crank_nicolson
+            values, grid, g, cfg.dt, cfg.pressure, crank_nicolson=cfg.crank_nicolson
         )
-        delta = h1_norm(result.profile.values - prev, grid)
-        prev = result.profile.values
+        delta = h1_norm(result.values - prev, grid)
+        prev = result.values
         if delta <= cfg.picard_tol * scale:
             return result, iteration
     raise PicardConvergenceError(
@@ -296,14 +294,14 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     Without start, h0 is fresh initial data at step 0; with it, h0 is a
     restored state and start.history seeds the Picard predictor.  Step k is
     stamped with time k * dt either way.  A start past t_final is an error;
-    one at t_final takes no step.  The step loop itself keeps only what the
-    next step reads; the ledger is evaluated per block of BLOCK steps.
+    one at t_final takes no step.  The step loop holds the state as an
+    array and keeps only what the next step reads; a state becomes a Profile
+    only as a kept snapshot, and the ledger is evaluated per block of BLOCK
+    steps.
     """
     _validate_initial(h0, cfg, fresh=start is None)
     grid = h0.grid
     start = start or RunStart()
-    if h0.pressure != cfg.pressure:
-        h0 = Profile(grid=grid, values=h0.values, pressure=cfg.pressure)
 
     total_steps = int(round(cfg.t_final / cfg.dt))
     if total_steps < 1:
@@ -311,10 +309,13 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     if start.step > total_steps:
         raise ValueError("restart point is already past the configured t_final")
 
+    def snapshot(values: np.ndarray) -> Profile:
+        return Profile(grid=grid, values=values, pressure=cfg.pressure)
+
     diagnostics = _StepDiagnostics(cfg, h0, start.step, start.cumulative_dissipation)
-    h = h0
+    h = h0.values
     iters_list = [0]
-    snapshots = [h]
+    snapshots = [snapshot(h)]
     snap_times = [start.step * cfg.dt]
     snap_steps = [start.step]
     max_residual = 0.0
@@ -323,14 +324,14 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
 
     history = start.history
     k = start.step
-    if cfg.pinch_floor > 0.0 and h.values.min() <= cfg.pinch_floor:
+    if cfg.pinch_floor > 0.0 and h.min() <= cfg.pinch_floor:
         termination = Termination.PINCH_DETECTED
     while termination is None:
         if k >= total_steps:
             termination = Termination.REACHED_T_FINAL
             break
         try:
-            result, iters = step_nonlinear(h, cfg, history)
+            result, iters = step_nonlinear(h, grid, cfg, history)
         except PicardConvergenceError as exc:
             termination = Termination.PICARD_FAILURE
             failure_message = str(exc)
@@ -342,20 +343,20 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         k += 1
         max_residual = max(max_residual, result.solver_residual)
         iters_list.append(iters)
-        history = (*history[-1:], h.values)
-        h = result.profile
-        diagnostics.push(h.values)
+        history = (*history[-1:], h)
+        h = result.values
+        diagnostics.push(h)
         if k % cfg.output_every == 0:
-            snapshots.append(h)
+            snapshots.append(snapshot(h))
             snap_times.append(k * cfg.dt)
             snap_steps.append(k)
-        if cfg.pinch_floor > 0.0 and h.values.min() <= cfg.pinch_floor:
+        if cfg.pinch_floor > 0.0 and h.min() <= cfg.pinch_floor:
             termination = Termination.PINCH_DETECTED
             break
     diagnostics.flush()
 
     if snap_steps[-1] != k:
-        snapshots.append(h)
+        snapshots.append(snapshot(h))
         snap_times.append(diagnostics.ledger[-1].time)
         snap_steps.append(k)
 
@@ -509,7 +510,7 @@ def decay_rate(traj: Trajectory) -> DecayFit:
             f"decay fit needs a completed run, got {traj.termination.value}"
         )
     grid = traj.grid
-    target = steady_profile(cfg.pressure, grid).profile.values
+    target = steady_profile(cfg.pressure, grid)
     dist = np.array(
         [h1_norm(s.values - target, grid) for s in traj.snapshots]
     )
@@ -559,7 +560,7 @@ def relaxation_check(traj: Trajectory, delta_loc: float | None = None) -> RelaxR
     """
     grid = traj.grid
     cfg = traj.config
-    target = steady_profile(cfg.pressure, grid).profile.values
+    target = steady_profile(cfg.pressure, grid)
     if delta_loc is None:
         delta_loc = 0.1 * float(np.max(target))
     elif delta_loc <= 0.0:

@@ -69,7 +69,7 @@ def project_boundary_rows(values: np.ndarray, grid: Grid, pressure: float) -> np
 
 def ic_steady(pressure: float, grid: Grid) -> np.ndarray:
     """The steady profile itself (projection is a no-op up to roundoff)."""
-    return steady_profile(pressure, grid).profile.values.copy()
+    return steady_profile(pressure, grid)
 
 
 def ic_steady_perturbed_poly(

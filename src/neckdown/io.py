@@ -15,6 +15,7 @@ the key or the file line, which the command line turns into exit 2.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -232,7 +233,7 @@ def write_checkpoint(traj: Trajectory, path: Path) -> None:
 _CHECKPOINT_KEYS = {
     "config": (dict, "an object", None),
     "step": (int, "a nonnegative integer", lambda step: step >= 0),
-    "cumulative_dissipation": (NUMBER, "a number", None),
+    "cumulative_dissipation": (NUMBER, "a finite number", math.isfinite),
     "values": (list, "a list of numbers", None),
     "history": (list, "a list of at most 2 states", lambda rows: len(rows) <= 2),
 }

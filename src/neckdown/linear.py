@@ -8,9 +8,11 @@ condition d2 h = P through one-sided 4-node stencils, which keeps the matrix
 pentadiagonal.  The solve sets the two known values and eliminates them:
 columns 0 and n-1 move into the rhs, and rows and columns 1..n-2, still a
 (2, 2) band, go through one banded LU with partial pivoting.  LAPACK gbsv
-factors and solves in one call (it is gbtrf followed by gbtrs), and gbtrf
-with gbcon estimates the condition number of that block when a solve is
-rejected.  The backward-error gate tests the full system.
+factors and solves in one call (it is gbtrf followed by gbtrs), and it is
+the only factorization: when a solve is rejected, gbcon estimates the
+condition number of that block from the LU gbsv returned.  The
+backward-error gate tests the full system.  States are plain float64 arrays
+here; nothing in the step builds a Profile.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbcon, dgbsv, dgbtrf
+from scipy.linalg.lapack import dgbcon, dgbsv
 
-from .grid import CURVATURE_STENCIL, Grid, Profile, derivative, quadrature
+from .grid import CURVATURE_STENCIL, Grid, derivative, quadrature
 
 RESIDUAL_RTOL = 1e-9
 
@@ -32,18 +34,6 @@ _KL = _KU = 2
 
 class LinearSolveError(RuntimeError):
     """Banded solve failed or produced an unacceptable residual."""
-
-
-@dataclass(frozen=True)
-class BandedSystem:
-    """Pentadiagonal system in LAPACK band storage.
-
-    matrix has shape (5, n): row u + i - j holds entry (i, j) for
-    |i - j| <= 2 (u = 2).
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
 
 
 def _band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -65,7 +55,7 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Output of one implicit step: new profile and solve residual.
+    """Output of one implicit step: new nodal values and solve residual.
 
     solver_residual is ||A h - rhs||_inf; backward_error the normwise
     relative backward error ||A h - rhs|| / (||A|| ||h|| + ||rhs||), which is
@@ -73,7 +63,7 @@ class StepResult:
     near machine epsilon no matter how large dt scales the operator).
     """
 
-    profile: Profile
+    values: np.ndarray
     solver_residual: float
     backward_error: float
 
@@ -92,11 +82,13 @@ def face_flux(mobility: np.ndarray, values: np.ndarray, dx: float) -> np.ndarray
 
 def assemble_operator(
     mobility: np.ndarray, grid: Grid, dt: float, pressure: float
-) -> BandedSystem:
-    """Assemble (I + dt L_g) with the four boundary rows, in band storage.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble (I + dt L_g) with the four boundary rows: (ab, rhs).
 
-    rhs carries the boundary row targets (1, P, P, 1); interior rhs entries
-    are zeros for the caller to fill with h_old.
+    ab is the pentadiagonal matrix in LAPACK band storage, shape (5, n): row
+    u + i - j holds entry (i, j) for |i - j| <= 2 (u = 2).  rhs carries the
+    boundary row targets (1, P, P, 1); interior rhs entries are zeros for
+    the caller to fill with h_old.
     """
     n = grid.n
     dx = grid.dx
@@ -133,7 +125,7 @@ def assemble_operator(
     lo1 -= lo2                          # it takes its own diagonal
     lo1 *= scale
     np.multiply(scale, gm, out=lo2)     # (i, i-2) = scale * gm
-    return BandedSystem(matrix=ab, rhs=rhs)
+    return ab, rhs
 
 
 @lru_cache(maxsize=64)
@@ -162,40 +154,42 @@ def _boundary_rows(n: int, dx: float, pressure: float) -> tuple[np.ndarray, np.n
 
 
 def _lu_buffer(ab: np.ndarray) -> np.ndarray:
-    """A (5, n) band matrix with the _KL extra rows above it that gbtrf and
-    gbsv need for the fill-in of row swaps, Fortran-ordered so that LAPACK
-    factors it in place."""
+    """A (5, n) band matrix with the _KL extra rows above it that gbsv needs
+    for the fill-in of row swaps, Fortran-ordered so that LAPACK factors it
+    in place."""
     buf = np.zeros((2 * _KL + _KU + 1, ab.shape[1]), order="F")
     buf[_KL:] = ab
     return buf
 
 
-def _factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """LU factors of a (5, n) band matrix by LAPACK gbtrf."""
-    return dgbtrf(_lu_buffer(ab), _KL, _KU, overwrite_ab=True)
-
-
-def condition_estimate(system: BandedSystem) -> float:
-    """1-norm condition estimate kappa_1 = 1 / rcond from LAPACK gbcon, of
-    the block of rows and columns 1..n-2 that step_linear factors, with
-    ||A||_1 the largest column sum of |A|; inf when the LU finds an exactly
-    zero pivot."""
-    inner = system.matrix[:, 1:-1]
-    lu, ipiv, info = _factor(inner)
-    if info > 0:
-        return np.inf
+def _kappa(inner: np.ndarray, lu: np.ndarray, ipiv: np.ndarray) -> float:
+    """kappa_1 = 1 / rcond of the band inner by LAPACK gbcon on the LU that
+    gbsv returned for it, with ||A||_1 the largest column sum of |A|."""
     rcond, _ = dgbcon(_KL, _KU, lu, ipiv, float(np.max(np.abs(inner).sum(axis=0))))
     return 1.0 / rcond if rcond > 0.0 else np.inf
 
 
+def condition_estimate(matrix: np.ndarray) -> float:
+    """1-norm condition estimate kappa_1 of the block of rows and columns
+    1..n-2 of a (5, n) band matrix, the block step_linear factors, through
+    the gbsv call the step makes; inf when the LU finds an exactly zero
+    pivot."""
+    inner = matrix[:, 1:-1]
+    lu, ipiv, _, info = dgbsv(_KL, _KU, _lu_buffer(inner), np.zeros(inner.shape[1]),
+                              overwrite_ab=True)
+    return np.inf if info > 0 else _kappa(inner, lu, ipiv)
+
+
 def step_linear(
-    h_old: Profile,
+    values: np.ndarray,
+    grid: Grid,
     mobility: np.ndarray,
     dt: float,
     pressure: float,
     crank_nicolson: bool = False,
 ) -> StepResult:
-    """Advance the frozen-coefficient problem one implicit step.
+    """Advance the frozen-coefficient problem one implicit step from the
+    nodal values h_old, which are only read.
 
     Backward Euler by default; with crank_nicolson=True the interior rows use
     the trapezoidal split (I + dt/2 L) h_new = h_old - dt/2 L h_old, which is
@@ -203,15 +197,12 @@ def step_linear(
     2 h_old - A h_old with A = I + dt/2 L the assembled band.  Boundary rows
     are enforced at the new time either way.
     """
-    grid = h_old.grid
     dt_eff = 0.5 * dt if crank_nicolson else dt
-    system = assemble_operator(mobility, grid, dt_eff, pressure)
-    ab = system.matrix
-    rhs = system.rhs
+    ab, rhs = assemble_operator(mobility, grid, dt_eff, pressure)
     if crank_nicolson:
-        rhs[2:-2] = 2.0 * h_old.values[2:-2] - _band_product(ab, h_old.values)[2:-2]
+        rhs[2:-2] = 2.0 * values[2:-2] - _band_product(ab, values)[2:-2]
     else:
-        rhs[2:-2] = h_old.values[2:-2]
+        rhs[2:-2] = values[2:-2]
 
     # h(-1) = h(1) = 1 (rhs rows 0 and n-1): move columns 0 and n-1 into the
     # rhs of rows 1, 2 and n-3, n-2, so that no row swap mixes a value row
@@ -221,7 +212,7 @@ def step_linear(
     b = new_values[1:-1]
     b[:2] -= ab[3:, 0]              # entries (1, 0), (2, 0)
     b[-2:] -= ab[:2, -1]            # entries (n-3, n-1), (n-2, n-1)
-    _, _, x, info = dgbsv(_KL, _KU, _lu_buffer(inner), b, overwrite_ab=True)
+    lu, ipiv, x, info = dgbsv(_KL, _KU, _lu_buffer(inner), b, overwrite_ab=True)
     if info > 0:
         raise LinearSolveError(
             f"banded solve failed (condition estimate inf): singular matrix, "
@@ -229,6 +220,8 @@ def step_linear(
         )
     b[:] = x
 
+    # a non-finite entry of the solution makes the residual, and so
+    # backward, non-finite: the gate rejects it with no separate scan
     a_norm = float(_row_sums(np.abs(ab)).max())
     r = _band_product(ab, new_values)
     r -= rhs
@@ -237,17 +230,12 @@ def step_linear(
     x_norm = float(np.abs(new_values).max())
     backward = residual / (a_norm * x_norm + rhs_norm)
     if not math.isfinite(backward) or backward > RESIDUAL_RTOL:
-        cond = condition_estimate(system)
         raise LinearSolveError(
             f"backward error {backward:.3e} exceeds {RESIDUAL_RTOL:.0e} "
-            f"(residual {residual:.3e}, condition estimate {cond:.3e})"
+            f"(residual {residual:.3e}, condition estimate {_kappa(inner, lu, ipiv):.3e})"
         )
 
-    return StepResult(
-        profile=Profile(grid=grid, values=new_values, pressure=pressure),
-        solver_residual=residual,
-        backward_error=float(backward),
-    )
+    return StepResult(values=new_values, solver_residual=residual, backward_error=backward)
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,26 +8,22 @@ branches satisfy h(+-1) = 1 and h''(+-1) = P and both are nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .grid import Grid, Profile
+from .grid import Grid
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """A steady profile sampled on a grid, with its contact point."""
-
-    pressure: float
-    contact_point: float
-    profile: Profile
+def check_pressure(pressure: float) -> None:
+    """ValueError unless the pressure is a finite P > 0."""
+    if not (math.isfinite(pressure) and pressure > 0):
+        raise ValueError(f"pressure must be finite and satisfy P>0, got {pressure}")
 
 
 def contact_point(pressure: float) -> float:
     """Contact point of the steady profile: 1 - sqrt(2/P) for P > 2, else 0."""
-    if pressure <= 0:
-        raise ValueError(f"pressure must satisfy P>0, got {pressure}")
+    check_pressure(pressure)
     if pressure <= 2.0:
         return 0.0
     return 1.0 - np.sqrt(2.0 / pressure)
@@ -43,19 +39,13 @@ def parabola(pressure: float, grid: Grid) -> np.ndarray:
     return 0.5 * pressure * (x * x - 1.0) + 1.0
 
 
-def steady_profile(pressure: float, grid: Grid) -> SteadyState:
-    """Sample the steady profile for the given pressure on the grid."""
-    if pressure <= 0:
-        raise ValueError(f"pressure must satisfy P>0, got {pressure}")
+def steady_profile(pressure: float, grid: Grid) -> np.ndarray:
+    """The steady profile for the given pressure, sampled on the grid."""
+    x_p = contact_point(pressure)
     if pressure <= 2.0:
-        values = parabola(pressure, grid)
-        x_p = 0.0
-    else:
-        x_p = contact_point(pressure)
-        ax = np.abs(grid.nodes)
-        values = np.where(ax >= x_p, 0.5 * pressure * (ax - x_p) ** 2, 0.0)
-    prof = Profile(grid=grid, values=values, pressure=pressure)
-    return SteadyState(pressure=pressure, contact_point=x_p, profile=prof)
+        return parabola(pressure, grid)
+    ax = np.abs(grid.nodes)
+    return np.where(ax >= x_p, 0.5 * pressure * (ax - x_p) ** 2, 0.0)
 
 
 def steady_energy(pressure: float) -> float:
@@ -64,8 +54,7 @@ def steady_energy(pressure: float) -> float:
     E = -P^2/3 + 2P on the parabola branch (P <= 2) and (4 sqrt(2)/3) sqrt(P)
     on the two-arc branch; the two expressions agree (8/3) at P = 2.
     """
-    if pressure <= 0:
-        raise ValueError(f"pressure must satisfy P>0, got {pressure}")
+    check_pressure(pressure)
     if pressure <= 2.0:
         return -(pressure**2) / 3.0 + 2.0 * pressure
     return (4.0 * np.sqrt(2.0) / 3.0) * np.sqrt(pressure)

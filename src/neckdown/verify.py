@@ -78,7 +78,7 @@ def eigenmode_amplitudes(
     from the P = 1 parabola plus 1e-3 times the mode; the mode decays at the
     rate (k pi / 2)^4.  measure(deviation, grid) maps the deviation from the
     parabola to an amplitude, by default the trapezoid projection on the mode."""
-    base = steady_profile(1.0, grid).profile.values
+    base = steady_profile(1.0, grid)
     mode = mode_shape(grid, k)
     if measure is None:
         weights = trapezoid_weights(grid)
@@ -87,20 +87,21 @@ def eigenmode_amplitudes(
             return float(np.sum(weights * deviation * mode))
 
     ones = np.ones(grid.n)
-    h = Profile(grid=grid, values=base + 1e-3 * mode, pressure=1.0)
-    a0 = measure(h.values - base, grid)
+    h = base + 1e-3 * mode
+    a0 = measure(h - base, grid)
     for _ in range(steps):
-        h = step_linear(h, ones, dt, 1.0, crank_nicolson=crank_nicolson).profile
-    return a0, measure(h.values - base, grid)
+        h = step_linear(h, grid, ones, dt, 1.0, crank_nicolson=crank_nicolson).values
+    return a0, measure(h - base, grid)
 
 
 def steady_drift(cfg: SolverConfig) -> tuple[float, int]:
     """Sup-norm change of the steady profile over one nonlinear step under
     cfg, and the Picard iterations the step took.  The steady profile is a
     fixed point of the step."""
-    h0 = steady_profile(cfg.pressure, make_grid(cfg.n)).profile
-    result, iters = step_nonlinear(h0, cfg)
-    return float(np.max(np.abs(result.profile.values - h0.values))), iters
+    grid = make_grid(cfg.n)
+    h0 = steady_profile(cfg.pressure, grid)
+    result, iters = step_nonlinear(h0, grid, cfg)
+    return float(np.max(np.abs(result.values - h0))), iters
 
 
 def symmetry_defect(values: np.ndarray) -> float:
@@ -162,7 +163,7 @@ def mass_telescoping_defect(h0: Profile, mobility: np.ndarray, dt: float) -> tup
     interior face fluxes, so the defect is dx times the sum of the step's
     residuals on those rows."""
     grid = h0.grid
-    h1v = step_linear(h0, mobility, dt, h0.pressure).profile.values
+    h1v = step_linear(h0.values, grid, mobility, dt, h0.pressure).values
     w_face = face_flux(mobility, h1v, grid.dx)
     dmass = float(np.sum(h1v[2:-2] - h0.values[2:-2]) * grid.dx)
     return abs(dmass + dt * (w_face[-1] - w_face[0])), dmass

@@ -28,7 +28,7 @@ from neckdown.functionals import energy
 from neckdown.grid import Profile, h1_norm
 from neckdown.initial import default_poly_amplitude, ic_steady_perturbed_poly
 from neckdown.io import RunManifest, execute_run, read_snapshots_jsonl
-from neckdown.steady import steady_energy, steady_profile
+from neckdown.steady import contact_point, steady_energy, steady_profile
 from neckdown.verify import (
     eigenmode_amplitudes,
     energy_increments,
@@ -100,8 +100,8 @@ def relaxation_pair(grid201):
 
 def test_01_steady_family_exactness(grid201, grid401):
     t0 = time.perf_counter()
-    contact_8 = steady_profile(8.0, grid201).contact_point
-    contact_45 = steady_profile(4.5, grid201).contact_point
+    contact_8 = contact_point(8.0)
+    contact_45 = contact_point(4.5)
     energy_errs = [
         abs(steady_energy(1.0) - 5.0 / 3.0),
         abs(steady_energy(2.0) - 8.0 / 3.0),
@@ -111,19 +111,19 @@ def test_01_steady_family_exactness(grid201, grid401):
     parabola = 0.5 * (x * x - 1.0) + 1.0
     arcs = 4.0 * np.maximum(np.abs(x) - 0.5, 0.0) ** 2
     nodal_errs = [
-        float(np.max(np.abs(steady_profile(1.0, grid201).profile.values - parabola))),
-        float(np.max(np.abs(steady_profile(8.0, grid201).profile.values - arcs))),
+        float(np.max(np.abs(steady_profile(1.0, grid201) - parabola))),
+        float(np.max(np.abs(steady_profile(8.0, grid201) - arcs))),
     ]
 
     quad_ratios = []
     quad_coarse = []
     for pressure in (1.0, 2.0, 8.0):
         e201 = abs(
-            energy(steady_profile(pressure, grid201).profile.values, grid201, pressure)
+            energy(steady_profile(pressure, grid201), grid201, pressure)
             - steady_energy(pressure)
         )
         e401 = abs(
-            energy(steady_profile(pressure, grid401).profile.values, grid401, pressure)
+            energy(steady_profile(pressure, grid401), grid401, pressure)
             - steady_energy(pressure)
         )
         quad_coarse.append(e201)
@@ -292,12 +292,8 @@ def test_06_supercritical_pinch(grid201, pinch_fine):
     h_m = traj.min_series[:, 2]
     tail = h_m[int(0.8 * len(h_m)):]
     steady = steady_profile(4.0, grid201)
-    outer = np.abs(grid201.nodes) >= steady.contact_point + 0.1
-    outer_gap = float(
-        np.max(
-            np.abs(traj.final.values[outer] - steady.profile.values[outer])
-        )
-    )
+    outer = np.abs(grid201.nodes) >= contact_point(4.0) + 0.1
+    outer_gap = float(np.max(np.abs(traj.final.values[outer] - steady[outer])))
 
     ok = (
         traj.termination is Termination.PINCH_DETECTED

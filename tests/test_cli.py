@@ -399,9 +399,12 @@ def test_cli_restore_past_t_final_exits_two(tmp_path, capsys):
         (lambda s: {**s, "cumulative_dissipation": 10**400}, "'cumulative_dissipation'"),
         (lambda s: {**s, "history": [s["history"][0], [10**400, *s["history"][1][1:]]]},
          "'history'"),
+        (lambda s: {**s, "cumulative_dissipation": float("nan")}, "'cumulative_dissipation'"),
+        (lambda s: {**s, "cumulative_dissipation": float("inf")}, "'cumulative_dissipation'"),
     ],
     ids=["no-step", "negative-step", "values-object", "dissipation-string", "top-level-list",
-         "bools", "numeric-strings", "huge-int-dissipation", "huge-int-history"],
+         "bools", "numeric-strings", "huge-int-dissipation", "huge-int-history",
+         "nan-dissipation", "inf-dissipation"],
 )
 def test_cli_restore_of_a_malformed_checkpoint_exits_two(tmp_path, capsys, edit, named):
     """A checkpoint with a key missing, mistyped or out of range, or one that
@@ -624,6 +627,16 @@ def test_cli_steady_dump(tmp_path, capsys):
     assert main(["steady"]) == 2
     capsys.readouterr()
     assert main(["steady", "--pressure", "-3"]) == 2
+
+
+@pytest.mark.parametrize("pressure", ["nan", "inf", "0", "-1"])
+def test_cli_steady_pressure_not_finite_and_positive_exits_two(tmp_path, capsys, pressure):
+    """The steady dump takes only a finite P > 0; it writes no file, and no
+    NaN or Infinity, which strict JSON lacks."""
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--pressure", pressure, "--out", str(out)]) == 2
+    assert "P>0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_writes_summary(tmp_path, capsys):

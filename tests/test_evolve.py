@@ -41,7 +41,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def steady_p1(grid):
-    return steady_profile(1.0, grid).profile
+    return Profile(grid=grid, values=steady_profile(1.0, grid), pressure=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -131,10 +131,10 @@ def test_perturbed_step_converges_fast_and_contracts(grid, steady_p1):
     h0 = Profile(
         grid=grid, values=ic_steady_perturbed_poly(1.0, grid, 0.05), pressure=1.0
     )
-    result, iters = step_nonlinear(h0, cfg)
+    result, iters = step_nonlinear(h0.values, grid, cfg)
     assert iters <= 5
     d0 = h1_norm(h0.values - steady_p1.values, grid)
-    d1 = h1_norm(result.profile.values - steady_p1.values, grid)
+    d1 = h1_norm(result.values - steady_p1.values, grid)
     assert d1 < d0
 
 
@@ -145,7 +145,7 @@ def test_large_dt_rough_data_converges_within_default_budget(grid):
         grid=grid, values=ic_steady_perturbed_poly(1.0, grid, 1.0), pressure=1.0
     )
     cfg = SolverConfig(pressure=1.0, dt=10.0, t_final=10.0, epsilon=1e-2)
-    _, iters = step_nonlinear(h0, cfg)
+    _, iters = step_nonlinear(h0.values, grid, cfg)
     assert 2 < iters <= 12
 
 
@@ -157,7 +157,7 @@ def test_exhausted_picard_budget_raises(grid):
         pressure=1.0, dt=10.0, t_final=10.0, epsilon=1e-2, picard_max=2
     )
     with pytest.raises(PicardConvergenceError, match="no convergence in 2"):
-        step_nonlinear(h0, cfg)
+        step_nonlinear(h0.values, grid, cfg)
 
 
 def test_run_turns_picard_failure_into_termination(grid):
@@ -262,10 +262,10 @@ def test_unregularized_mode_runs_and_guards(grid):
     )
     traj = run(cfg, h0)
     assert traj.termination is Termination.REACHED_T_FINAL
-    shallow = Profile(grid=grid, values=parabola(1.999, grid), pressure=1.999)
+    shallow = parabola(1.999, grid)
     with pytest.raises(ValueError, match="above the pinch floor"):
         step_nonlinear(
-            shallow, SolverConfig(pressure=1.999, epsilon=0.0, pinch_floor=1e-3)
+            shallow, grid, SolverConfig(pressure=1.999, epsilon=0.0, pinch_floor=1e-3)
         )
 
 
@@ -533,7 +533,7 @@ def test_relaxation_outside_contact_region(pinch_traj, grid):
     H^3 distance stays order one at the pinch stop; it shrinks as the
     comparison region moves away from the contact points."""
     xp = contact_point(4.0)
-    target = steady_profile(4.0, grid).profile.values
+    target = steady_profile(4.0, grid)
     outer = np.abs(grid.nodes) >= xp + 0.1
     c0 = float(np.max(np.abs(pinch_traj.final.values - target)[outer]))
     assert c0 < 0.1

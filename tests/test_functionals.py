@@ -29,8 +29,7 @@ def test_energy_constant_profile(grid201):
 
 
 def test_energy_steady_profile(grid201):
-    state = steady_profile(1.0, grid201)
-    assert energy(state.profile.values, grid201, 1.0) == pytest.approx(5.0 / 3.0, abs=1e-4)
+    assert energy(steady_profile(1.0, grid201), grid201, 1.0) == pytest.approx(5.0 / 3.0, abs=1e-4)
 
 
 def test_energy_sine_gradient_term(grid201):
@@ -45,8 +44,7 @@ def test_energy_sine_gradient_term(grid201):
 def test_dissipation_vanishes_on_quadratics(grid201):
     p = Profile(grid=grid201, values=0.3 * grid201.nodes**2 + 0.5, pressure=1.0)
     assert dissipation(p.values, grid201) < 1e-12
-    state = steady_profile(1.0, grid201)
-    assert dissipation(state.profile.values, grid201) < 1e-12
+    assert dissipation(steady_profile(1.0, grid201), grid201) < 1e-12
 
 
 def test_dissipation_sine_oracle(grid401):
@@ -63,8 +61,8 @@ def test_flux_identity_vanishes_on_quadratics():
     grid = make_grid(21)
     p = Profile(grid=grid, values=0.4 * grid.nodes**2 + 0.6, pressure=1.0)
     assert flux_identity_residual(p) < 1e-10
-    state = steady_profile(1.0, grid)
-    assert flux_identity_residual(state.profile) < 1e-10
+    state = Profile(grid=grid, values=steady_profile(1.0, grid), pressure=1.0)
+    assert flux_identity_residual(state) < 1e-10
 
 
 def test_entropy_zero_at_cap(grid201):

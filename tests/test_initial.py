@@ -110,7 +110,7 @@ def test_projection_is_identity_on_compatible_data(grid201):
 def test_steady_family_matches_steady_profile(grid201):
     vals = ic_steady(3.0, grid201)
     np.testing.assert_allclose(
-        vals, steady_profile(3.0, grid201).profile.values, atol=1e-15
+        vals, steady_profile(3.0, grid201), atol=1e-15
     )
 
 

@@ -12,7 +12,6 @@ from neckdown import linear
 from neckdown.initial import build_initial_condition, project_boundary_rows
 from neckdown.linear import (
     RESIDUAL_RTOL,
-    BandedSystem,
     LinearSolveError,
     assemble_operator,
     condition_estimate,
@@ -27,15 +26,13 @@ MODE_RATE = (np.pi / 2.0) ** 4
 
 def perturbed_state(grid):
     """The P = 1 parabola plus 1e-2 times eigenmode 1."""
-    base = steady_profile(1.0, grid).profile.values
-    return Profile(grid=grid, values=base + 1e-2 * mode_shape(grid, 1), pressure=1.0)
+    return steady_profile(1.0, grid) + 1e-2 * mode_shape(grid, 1)
 
 
 def test_constant_mobility_reduces_to_biharmonic_rows(grid201):
     dt = 1e-5
-    system = assemble_operator(np.ones(201), grid201, dt, 1.0)
+    ab, _ = assemble_operator(np.ones(201), grid201, dt, 1.0)
     scale = dt / grid201.dx**4
-    ab = system.matrix
     i = 100
     assert ab[0, i + 2] == pytest.approx(scale)
     assert ab[1, i + 1] == pytest.approx(-4.0 * scale)
@@ -47,8 +44,7 @@ def test_constant_mobility_reduces_to_biharmonic_rows(grid201):
 def test_boundary_rows_pin_values_and_curvature(grid201):
     n = grid201.n
     dx = grid201.dx
-    system = assemble_operator(np.ones(n), grid201, 1e-5, 2.5)
-    ab = system.matrix
+    ab, rhs = assemble_operator(np.ones(n), grid201, 1e-5, 2.5)
     # value rows are bare identity rows
     assert ab[2, 0] == 1.0 and ab[2, n - 1] == 1.0
     assert ab[1, 1] == 0.0 and ab[3, n - 2] == 0.0
@@ -58,15 +54,14 @@ def test_boundary_rows_pin_values_and_curvature(grid201):
     right = np.array([ab[4, n - 4], ab[3, n - 3], ab[2, n - 2], ab[1, n - 1]])
     np.testing.assert_allclose(right, _BC_LEFT[::-1] / dx**2)
     # rhs targets
-    assert system.rhs[0] == 1.0 and system.rhs[-1] == 1.0
-    assert system.rhs[1] == 2.5 and system.rhs[-2] == 2.5
+    assert rhs[0] == 1.0 and rhs[-1] == 1.0
+    assert rhs[1] == 2.5 and rhs[-2] == 2.5
 
 
 def test_band_matvec_matches_dense(grid201):
     rng = np.random.default_rng(11)
     g = 0.5 + rng.random(grid201.n)
-    system = assemble_operator(g, grid201, 1e-5, 1.0)
-    ab = system.matrix
+    ab, _ = assemble_operator(g, grid201, 1e-5, 1.0)
     n = grid201.n
     dense = np.zeros((n, n))
     for i in range(n):
@@ -74,7 +69,7 @@ def test_band_matvec_matches_dense(grid201):
             dense[i, j] = ab[2 + i - j, j]
     x = rng.standard_normal(n)
     np.testing.assert_allclose(
-        linear._band_product(system.matrix, x), dense @ x, rtol=1e-13, atol=1e-13
+        linear._band_product(ab, x), dense @ x, rtol=1e-13, atol=1e-13
     )
 
 
@@ -96,42 +91,41 @@ def test_nan_mobility_is_rejected(grid201, crank_nicolson):
     g[57] = np.nan
     with pytest.raises(ValueError, match="mobility must be positive"):
         assemble_operator(g, grid201, 1e-5, 1.0)
-    h = steady_profile(1.0, grid201).profile
+    h = steady_profile(1.0, grid201)
     with pytest.raises(ValueError, match="mobility must be positive"):
-        step_linear(h, g, 1e-5, 1.0, crank_nicolson=crank_nicolson)
+        step_linear(h, grid201, g, 1e-5, 1.0, crank_nicolson=crank_nicolson)
 
 
 def test_assembled_arrays_are_not_shared_between_calls(grid201):
     """Boundary rows come from a cached template; mutating one call's matrix
     and rhs (step_linear fills the rhs in place) leaves the next call intact."""
     g = 0.5 + np.random.default_rng(8).random(grid201.n)
-    first = assemble_operator(g, grid201, 1e-5, 1.5)
-    matrix, rhs = first.matrix.copy(), first.rhs.copy()
-    first.matrix[:] = np.nan
-    first.rhs[:] = np.nan
-    again = assemble_operator(g, grid201, 1e-5, 1.5)
-    assert again.matrix.tobytes() == matrix.tobytes()
-    assert again.rhs.tobytes() == rhs.tobytes()
+    first_ab, first_rhs = assemble_operator(g, grid201, 1e-5, 1.5)
+    matrix, rhs = first_ab.copy(), first_rhs.copy()
+    first_ab[:] = np.nan
+    first_rhs[:] = np.nan
+    again_ab, again_rhs = assemble_operator(g, grid201, 1e-5, 1.5)
+    assert again_ab.tobytes() == matrix.tobytes()
+    assert again_rhs.tobytes() == rhs.tobytes()
 
-    other = assemble_operator(g, grid201, 1e-5, 3.0)
-    assert other.rhs[1] == other.rhs[-2] == 3.0
-    assert again.rhs[1] == again.rhs[-2] == 1.5
+    _, other_rhs = assemble_operator(g, grid201, 1e-5, 3.0)
+    assert other_rhs[1] == other_rhs[-2] == 3.0
+    assert again_rhs[1] == again_rhs[-2] == 1.5
 
 
 def test_parabola_is_fixed_point_for_any_mobility(grid201):
     rng = np.random.default_rng(5)
     state = steady_profile(1.5, grid201)
     g = 0.2 + rng.random(grid201.n)
-    out = step_linear(state.profile, g, 1e-3, 1.5)
-    assert np.max(np.abs(out.profile.values - state.profile.values)) < 1e-9
+    out = step_linear(state, grid201, g, 1e-3, 1.5)
+    assert np.max(np.abs(out.values - state)) < 1e-9
 
 
 def test_step_enforces_boundary_conditions(grid201):
     rng = np.random.default_rng(3)
     g = 0.5 + rng.random(grid201.n)
     h = perturbed_state(grid201)
-    out = step_linear(h, g, 1e-5, 1.0)
-    v = out.profile.values
+    v = step_linear(h, grid201, g, 1e-5, 1.0).values
     dx = grid201.dx
     assert abs(v[0] - 1.0) < 1e-11
     assert abs(v[-1] - 1.0) < 1e-11
@@ -141,9 +135,9 @@ def test_step_enforces_boundary_conditions(grid201):
 
 def test_step_residual_gate(grid201):
     h = perturbed_state(grid201)
-    out = step_linear(h, np.ones(grid201.n), 1e-5, 1.0)
+    out = step_linear(h, grid201, np.ones(grid201.n), 1e-5, 1.0)
     # rhs: 1 and P = 1 on the boundary rows, h on the interior rows
-    assert out.solver_residual <= 1e-9 * max(1.0, np.abs(h.values[2:-2]).max())
+    assert out.solver_residual <= 1e-9 * max(1.0, np.abs(h[2:-2]).max())
     assert out.backward_error <= RESIDUAL_RTOL
     assert out.backward_error < 1e-12
 
@@ -174,7 +168,7 @@ def test_interior_mass_telescopes_to_boundary_fluxes(grid201):
     """Conservative form: interior mass change equals dt times the net flux
     through the outermost interior faces, computed with the same frozen
     mobility the solve used."""
-    h = perturbed_state(grid201)
+    h = Profile(grid=grid201, values=perturbed_state(grid201), pressure=1.0)
     defect, _ = mass_telescoping_defect(h, np.sqrt(h.values**2 + 1e-4), 1e-5)
     assert defect < 1e-10
 
@@ -205,37 +199,36 @@ def test_interior_mass_telescopes_on_generated_steps(n, g_lo, g_hi, log_dt, pres
     values = project_boundary_rows(1.0 + 0.1 * rng.standard_normal(n), grid, pressure)
     h = Profile(grid=grid, values=values, pressure=pressure)
     defect, _ = mass_telescoping_defect(h, g, dt)
-    out = step_linear(h, g, dt, pressure)
-    system = assemble_operator(g, grid, dt, pressure)
-    rhs = system.rhs
+    out = step_linear(h.values, grid, g, dt, pressure)
+    ab, rhs = assemble_operator(g, grid, dt, pressure)
     rhs[2:-2] = h.values[2:-2]
-    a_norm = np.max(np.abs(band_to_dense(system.matrix)).sum(axis=1))
-    x_norm = np.max(np.abs(out.profile.values))
+    a_norm = np.max(np.abs(band_to_dense(ab)).sum(axis=1))
+    x_norm = np.max(np.abs(out.values))
     assert defect <= 2.0 * RESIDUAL_RTOL * (a_norm * x_norm + np.max(np.abs(rhs)))
 
 
 def test_repeated_steps_dissipate_energy_and_contract(grid201):
     rng = np.random.default_rng(3)
     g = 0.5 + rng.random(grid201.n)
-    base = steady_profile(1.0, grid201).profile.values
+    base = steady_profile(1.0, grid201)
     h = perturbed_state(grid201)
-    e_prev = energy(h.values, grid201, 1.0)
-    d_prev = h1_norm(h.values - base, grid201)
+    e_prev = energy(h, grid201, 1.0)
+    d_prev = h1_norm(h - base, grid201)
     for _ in range(20):
-        h = step_linear(h, g, 1e-4, 1.0).profile
-        e = energy(h.values, grid201, 1.0)
-        d = h1_norm(h.values - base, grid201)
+        h = step_linear(h, grid201, g, 1e-4, 1.0).values
+        e = energy(h, grid201, 1.0)
+        d = h1_norm(h - base, grid201)
         assert e <= e_prev + 1e-14
         assert d <= d_prev * (1.0 + 1e-12)
         e_prev, d_prev = e, d
 
 
-def flux_report(cur, mobility, prev, mobility_prev, dt, time=0.0):
+def flux_report(cur, mobility, prev, mobility_prev, grid, dt, time=0.0):
     """flux_energy_report of the single step from prev to cur."""
     (rep,) = flux_energy_report(
-        np.stack([prev.values, cur.values]),
+        np.stack([prev, cur]),
         np.stack([mobility_prev, mobility]),
-        cur.grid,
+        grid,
         dt,
         [time],
     )
@@ -243,9 +236,9 @@ def flux_report(cur, mobility, prev, mobility_prev, dt, time=0.0):
 
 
 def test_flux_report_vanishes_on_steady_state(grid201):
-    sp = steady_profile(1.0, grid201).profile
+    sp = steady_profile(1.0, grid201)
     ones = np.ones(grid201.n)
-    rep = flux_report(sp, ones, sp, ones, 1e-4)
+    rep = flux_report(sp, ones, sp, ones, grid201, 1e-4)
     assert rep.weighted_flux_norm < 1e-8
     assert rep.flux_curvature_norm < 1e-4
     assert abs(rep.identity_residual) < 1e-12
@@ -256,8 +249,8 @@ def test_flux_report_norm_decays_for_constant_mobility(grid201):
     prev = perturbed_state(grid201)
     norms = []
     for k in range(6):
-        cur = step_linear(prev, ones, 1e-4, 1.0).profile
-        rep = flux_report(cur, ones, prev, ones, 1e-4, time=(k + 1) * 1e-4)
+        cur = step_linear(prev, grid201, ones, 1e-4, 1.0).values
+        rep = flux_report(cur, ones, prev, ones, grid201, 1e-4, time=(k + 1) * 1e-4)
         norms.append(rep.weighted_flux_norm)
         prev = cur
     assert all(b <= a for a, b in zip(norms, norms[1:]))
@@ -268,9 +261,9 @@ def test_flux_report_residual_is_first_order_in_dt(grid201):
     residuals = []
     for dt in (2e-4, 1e-4, 5e-5):
         h = perturbed_state(grid201)
-        r1 = step_linear(h, ones, dt, 1.0)
-        r2 = step_linear(r1.profile, ones, dt, 1.0)
-        rep = flux_report(r2.profile, ones, r1.profile, ones, dt)
+        r1 = step_linear(h, grid201, ones, dt, 1.0).values
+        r2 = step_linear(r1, grid201, ones, dt, 1.0).values
+        rep = flux_report(r2, ones, r1, ones, grid201, dt)
         residuals.append(abs(rep.identity_residual))
     assert residuals[0] < 1e-6
     for a, b in zip(residuals, residuals[1:]):
@@ -279,8 +272,8 @@ def test_flux_report_residual_is_first_order_in_dt(grid201):
 
 def test_condition_estimate_is_finite_and_grows_with_dt(grid201):
     ones = np.ones(grid201.n)
-    c_small = condition_estimate(assemble_operator(ones, grid201, 1e-5, 1.0))
-    c_large = condition_estimate(assemble_operator(ones, grid201, 1e-3, 1.0))
+    c_small = condition_estimate(assemble_operator(ones, grid201, 1e-5, 1.0)[0])
+    c_large = condition_estimate(assemble_operator(ones, grid201, 1e-3, 1.0)[0])
     assert 1.0 < c_small < c_large < 1e12
 
 
@@ -314,19 +307,18 @@ def band_to_dense(ab):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_step_matches_solve_banded_bit_for_bit(n, g_lo, g_hi, log_dt, pressure, seed):
-    """The gbtrf/gbtrs path gives exactly what LAPACK gbsv gives on the
-    system reduced by the two known boundary values."""
+    """The step gives exactly what LAPACK gbsv, through solve_banded, gives
+    on the system reduced by the two known boundary values."""
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
     g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
     dt = 10.0**log_dt
-    h = Profile(grid=grid, values=1.0 + 0.1 * rng.standard_normal(n), pressure=pressure)
-    out = step_linear(h, g, dt, pressure)
-    system = assemble_operator(g, grid, dt, pressure)
-    rhs = system.rhs.copy()
-    rhs[2:-2] = h.values[2:-2]
-    expected = reduced_solve(system.matrix, rhs)
-    assert out.profile.values.tobytes() == expected.tobytes()
+    h = 1.0 + 0.1 * rng.standard_normal(n)
+    out = step_linear(h, grid, g, dt, pressure)
+    ab, rhs = assemble_operator(g, grid, dt, pressure)
+    rhs[2:-2] = h[2:-2]
+    expected = reduced_solve(ab, rhs)
+    assert out.values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [201, 401])
@@ -336,15 +328,13 @@ def test_condition_estimate_matches_dense_condition_number(n, dt):
     factors once the two value rows are eliminated."""
     grid = make_grid(n)
     g = 0.5 + np.random.default_rng(n).random(n)
-    system = assemble_operator(g, grid, dt, 1.0)
-    dense = np.linalg.cond(band_to_dense(system.matrix)[1:-1, 1:-1], 1)
-    assert condition_estimate(system) == pytest.approx(dense, rel=0.05)
+    ab, _ = assemble_operator(g, grid, dt, 1.0)
+    dense = np.linalg.cond(band_to_dense(ab)[1:-1, 1:-1], 1)
+    assert condition_estimate(ab) == pytest.approx(dense, rel=0.05)
 
 
 def test_condition_estimate_of_singular_band_is_inf():
-    n = 201
-    system = BandedSystem(matrix=np.zeros((5, n)), rhs=np.zeros(n))
-    assert condition_estimate(system) == np.inf
+    assert condition_estimate(np.zeros((5, 201))) == np.inf
 
 
 def value_row_defects(steps):
@@ -352,12 +342,12 @@ def value_row_defects(steps):
     P = 1.5, n = 801, dt = 1e-4 with g = sqrt(h^2 + 1e-4) from each new state."""
     grid = make_grid(801)
     values = build_initial_condition("steady-perturbed-random:0.02", 1.5, grid, seed=53)
-    h = Profile(grid=grid, values=values, pressure=1.5)
+    h = values
     left, right = [], []
     for _ in range(steps):
-        h = step_linear(h, np.sqrt(h.values**2 + 1e-4), 1e-4, 1.5).profile
-        left.append(abs(h.values[0] - 1.0))
-        right.append(h.values[-1] - 1.0)
+        h = step_linear(h, grid, np.sqrt(h**2 + 1e-4), 1e-4, 1.5).values
+        left.append(abs(h[0] - 1.0))
+        right.append(h[-1] - 1.0)
     return np.array(left), np.array(right)
 
 
@@ -388,7 +378,7 @@ def test_gate_rejects_non_finite_solution(grid201, monkeypatch):
 
     monkeypatch.setattr(linear, "dgbsv", nan_solve)
     with pytest.raises(LinearSolveError, match="backward error") as exc:
-        step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
+        step_linear(perturbed_state(grid201), grid201, np.ones(grid201.n), 1e-5, 1.0)
     assert "condition estimate" in str(exc.value)
 
 
@@ -401,7 +391,34 @@ def test_gate_rejects_perturbed_solution(grid201, monkeypatch):
 
     monkeypatch.setattr(linear, "dgbsv", off_solve)
     with pytest.raises(LinearSolveError, match=f"exceeds {RESIDUAL_RTOL:.0e}"):
-        step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
+        step_linear(perturbed_state(grid201), grid201, np.ones(grid201.n), 1e-5, 1.0)
+
+
+def test_rejected_solve_estimates_condition_from_its_own_lu(grid201, monkeypatch):
+    """A rejected solve takes kappa_1 from gbcon on the LU that gbsv
+    returned, with no second factorization, and reports what
+    condition_estimate gives for the same band."""
+    ones = np.ones(grid201.n)
+    expected = condition_estimate(assemble_operator(ones, grid201, 1e-5, 1.0)[0])
+    real_solve, real_gbcon = linear.dgbsv, linear.dgbcon
+    solved, estimated = [], []
+
+    def off_solve(*args, **kwargs):
+        lu, ipiv, x, info = real_solve(*args, **kwargs)
+        solved.append(lu)
+        return lu, ipiv, x + 1e-3, info
+
+    def recording_gbcon(kl, ku, lu, ipiv, anorm):
+        estimated.append(lu)
+        return real_gbcon(kl, ku, lu, ipiv, anorm)
+
+    monkeypatch.setattr(linear, "dgbsv", off_solve)
+    monkeypatch.setattr(linear, "dgbcon", recording_gbcon)
+    with pytest.raises(LinearSolveError, match="condition estimate") as exc:
+        step_linear(perturbed_state(grid201), grid201, ones, 1e-5, 1.0)
+    assert len(solved) == 1 and len(estimated) == 1
+    assert estimated[0] is solved[0]
+    assert str(exc.value).endswith(f"condition estimate {expected:.3e})")
 
 
 def test_gate_rejects_singular_factorization(grid201, monkeypatch):
@@ -413,7 +430,7 @@ def test_gate_rejects_singular_factorization(grid201, monkeypatch):
 
     monkeypatch.setattr(linear, "dgbsv", zero_pivot)
     with pytest.raises(LinearSolveError, match="singular matrix, zero pivot in column 5"):
-        step_linear(perturbed_state(grid201), np.ones(grid201.n), 1e-5, 1.0)
+        step_linear(perturbed_state(grid201), grid201, np.ones(grid201.n), 1e-5, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -435,18 +452,17 @@ def test_backward_error_uses_dense_infinity_norm(
     rng = np.random.default_rng(seed)
     g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
     dt = 10.0**log_dt
-    h = Profile(grid=grid, values=1.0 + 0.1 * rng.standard_normal(n), pressure=pressure)
-    out = step_linear(h, g, dt, pressure, crank_nicolson=crank_nicolson)
+    h = 1.0 + 0.1 * rng.standard_normal(n)
+    out = step_linear(h, grid, g, dt, pressure, crank_nicolson=crank_nicolson)
     dt_eff = 0.5 * dt if crank_nicolson else dt
-    system = assemble_operator(g, grid, dt_eff, pressure)
-    rhs = system.rhs.copy()
-    rhs[2:-2] = h.values[2:-2]
+    ab, rhs = assemble_operator(g, grid, dt_eff, pressure)
+    rhs[2:-2] = h[2:-2]
     if crank_nicolson:
         # h - dt/2 L h = 2 h - (I + dt/2 L) h on the interior rows
-        band_h = _reference_band_product(system.matrix, h.values)
-        rhs[2:-2] = 2.0 * h.values[2:-2] - band_h[2:-2]
-    a_norm = np.max(np.abs(band_to_dense(system.matrix)).sum(axis=1))
-    x_norm = np.max(np.abs(out.profile.values))
+        band_h = _reference_band_product(ab, h)
+        rhs[2:-2] = 2.0 * h[2:-2] - band_h[2:-2]
+    a_norm = np.max(np.abs(band_to_dense(ab)).sum(axis=1))
+    x_norm = np.max(np.abs(out.values))
     b_norm = np.max(np.abs(rhs))
     expected = out.solver_residual / (a_norm * x_norm + b_norm)
     assert out.backward_error == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -507,24 +523,24 @@ def test_step_matches_whole_array_formulation_bit_for_bit(
     rng = np.random.default_rng(seed)
     g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
     dt = 10.0**log_dt
-    h = Profile(grid=grid, values=1.0 + 0.1 * rng.standard_normal(n), pressure=pressure)
+    h = 1.0 + 0.1 * rng.standard_normal(n)
     dt_eff = 0.5 * dt if crank_nicolson else dt
 
     ab, rhs = _reference_assembly(g, grid, dt_eff, pressure)
-    system = assemble_operator(g, grid, dt_eff, pressure)
-    assert system.matrix.tobytes() == ab.tobytes()
-    assert system.rhs.tobytes() == rhs.tobytes()
+    assembled_ab, assembled_rhs = assemble_operator(g, grid, dt_eff, pressure)
+    assert assembled_ab.tobytes() == ab.tobytes()
+    assert assembled_rhs.tobytes() == rhs.tobytes()
 
-    rhs[2:-2] = h.values[2:-2]
+    rhs[2:-2] = h[2:-2]
     if crank_nicolson:
-        rhs[2:-2] = 2.0 * h.values[2:-2] - _reference_band_product(ab, h.values)[2:-2]
+        rhs[2:-2] = 2.0 * h[2:-2] - _reference_band_product(ab, h)[2:-2]
     x = reduced_solve(ab, rhs)
     a_norm = float(np.max(_reference_band_product(np.abs(ab), np.ones(n))))
     residual = float(np.max(np.abs(_reference_band_product(ab, x) - rhs)))
     rhs_norm = float(np.max(np.abs(rhs)))
     x_norm = float(np.max(np.abs(x)))
 
-    out = step_linear(h, g, dt, pressure, crank_nicolson=crank_nicolson)
-    assert out.profile.values.tobytes() == x.tobytes()
+    out = step_linear(h, grid, g, dt, pressure, crank_nicolson=crank_nicolson)
+    assert out.values.tobytes() == x.tobytes()
     assert out.solver_residual == residual
     assert out.backward_error == residual / (a_norm * x_norm + rhs_norm)

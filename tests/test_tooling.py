@@ -1,27 +1,41 @@
-"""The benchmark's tracing targets still exist in the package.
+"""The benchmark's entry points still work against the package.
 
 perfbench/spans.py wraps neckdown's functions at the module attributes their
 callers look up.  A refactor that removes or renames one would leave its
 span unrecorded (MISSING under --trace 1), so this reads the benchmark's
-TARGETS table, without changing it, and checks every attribute.
+TARGETS table, without changing it, and checks every attribute.  It also
+runs each workload's two-step warm-up, what perfbench/probe.py runs, so a
+signature change cannot break the benchmark silently.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+import neckdown
+import neckdown.cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# report.json files each workload's warm-up writes under its out_dir
+WARM_REPORTS = {
+    "relax": ["report.json"],
+    "pinch": [],
+    "artifacts": ["whole/report.json", "first/report.json", "second/report.json"],
+}
 
 
-def load_targets() -> dict[str, tuple[str, ...]]:
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_span_target_is_an_attribute_of_its_modules():
-    targets = load_targets()
+    targets = load_perfbench("spans").TARGETS
     assert targets
     missing = []
     for name, sites in targets.items():
@@ -31,3 +45,15 @@ def test_every_span_target_is_an_attribute_of_its_modules():
             if not callable(getattr(module, func, None)):
                 missing.append(f"neckdown.{site}.{func} (span {name})")
     assert missing == []
+
+
+def test_every_workload_is_covered_by_the_warm_up_test():
+    assert sorted(load_perfbench("workloads").WORKLOADS) == sorted(WARM_REPORTS)
+
+
+@pytest.mark.parametrize("name", sorted(WARM_REPORTS))
+def test_workload_warm_up_runs_and_writes_its_reports(name, tmp_path):
+    workload = load_perfbench("workloads").WORKLOADS[name](neckdown, 1, {})
+    workload.warm(tmp_path)
+    for report in WARM_REPORTS[name]:
+        assert (tmp_path / report).is_file(), report
