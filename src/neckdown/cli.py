@@ -125,11 +125,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not pressures:
         print("sweep needs at least one pressure", file=sys.stderr)
         return 2
+    jobs: dict[str, list[float]] = {}
+    for p in pressures:
+        jobs.setdefault(f"P{p:g}", []).append(p)
+    clashes = [
+        f"{', '.join(map(repr, ps))} in {name}" for name, ps in jobs.items() if len(ps) > 1
+    ]
+    if clashes:
+        raise ValueError(f"pressures would share a job directory: {'; '.join(clashes)}")
     out_root = args.out_dir if args.out_dir is not None else default_out_dir()
     payloads = []
-    for p in pressures:
+    for name, (p,) in jobs.items():
         cfg = _solver_config(argparse.Namespace(**{**vars(args), "pressure": p}))
-        payloads.append((cfg, args.ic, str(out_root / f"P{p:g}"), args.seed))
+        payloads.append((cfg, args.ic, str(out_root / name), args.seed))
 
     if args.workers > 1:
         # imported here: multiprocessing would otherwise load on every command

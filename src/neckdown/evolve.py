@@ -14,13 +14,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .functionals import EnergyLedger, dissipation, energy
-from .grid import Grid, Profile, derivative, h1_norm, min_value
+from .grid import Grid, Profile, check_nodes, derivative, h1_norm
 from .initial import bc_residuals
-from .linear import FluxEnergyReport, LinearSolveError, StepResult, flux_energy_report, step_linear
+from .linear import LinearSolveError, StepResult, flux_energy_report, step_linear
 from .steady import check_pressure, steady_profile
 
 VALUE_ROW_TOL = 1e-9
@@ -70,8 +71,7 @@ class SolverConfig:
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         check_pressure(self.pressure)
-        if self.n < 9 or self.n % 2 == 0:
-            raise ValueError(f"n must be odd and >= 9, got {self.n}")
+        check_nodes(self.n)
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_final <= 0:
@@ -113,7 +113,9 @@ class RunStart:
 
 @dataclass
 class Trajectory:
-    """A completed (possibly truncated) run with its per-step diagnostics."""
+    """A completed (possibly truncated) run with its per-step diagnostics.
+    Under flux_diagnostics, flux_reports holds one row per step, its
+    columns those of io.FLUX_HEADER; it is (0, 4) otherwise."""
 
     config: SolverConfig
     grid: Grid
@@ -125,7 +127,7 @@ class Trajectory:
     picard_iters: np.ndarray          # aligned with ledger; 0 for the start row
     termination: Termination
     failure_message: str | None = None
-    flux_reports: list[FluxEnergyReport] = field(default_factory=list)
+    flux_reports: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     max_solver_residual: float = 0.0
     end: RunStart = RunStart()        # continue with run(cfg, final, start=end)
 
@@ -211,81 +213,119 @@ def _validate_initial(h0: Profile, cfg: SolverConfig, fresh: bool) -> None:
 
 
 class _StepDiagnostics:
-    """A run's per-step diagnostics, evaluated once per block of accepted
-    states: the ledger row (energy, dissipation, and the running integral of
-    the dissipation at each step's midpoint), the nodal minimum and, under
-    flux_diagnostics, the flux report.
+    """A run's one record: each accepted state enters once, with its time,
+    Picard count and solver residual, and trajectory builds the Trajectory
+    on every exit path.
 
-    states holds the state before the block in row 0 and the block's
-    accepted states after it; flush evaluates them with one call per
-    functional on the stack, each row getting the bits of its own 1-D call,
-    then sums the integral step by step, in order.  The buffers are
-    allocated once per run and reused by every block.
+    The per-step diagnostics are evaluated once per block of accepted
+    states: the ledger row (energy, dissipation, and the running integral
+    of the dissipation at each step's midpoint), the nodal minimum and,
+    under flux_diagnostics, the flux row.  states holds the state before
+    the block in row 0 and the block's accepted states after it; flush
+    evaluates them with one call per functional on the stack, each row
+    getting the bits of its own 1-D call, then sums the integral step by
+    step, in order.  The start state is evaluated the same way, as a stack
+    of one.  The buffers are allocated once per run and reused by every
+    block.
     """
 
-    def __init__(self, cfg: SolverConfig, h0: Profile, step: int, cum: float):
+    def __init__(self, cfg: SolverConfig, h0: Profile, t: float, start: RunStart):
         self.cfg = cfg
         self.grid = grid = h0.grid
-        self.step = step                # the step of states[0]
-        self.cum = cum
+        self.step = start.step          # the step of the last state taken
+        self.t = t                      # and its time
+        self.cum = start.cumulative_dissipation
         self.filled = 0
         self.states = np.empty((BLOCK + 1, grid.n))
         self.states[0] = h0.values
+        self.times: list[float] = []
         self.midpoints = np.empty((BLOCK, grid.n))
-        t = step * cfg.dt
-        x_m, h_m = min_value(h0)
-        self.ledger = [
-            EnergyLedger(
-                time=t,
-                energy=energy(h0.values, grid, cfg.pressure, cfg.rule),
-                dissipation=dissipation(h0.values, grid, cfg.rule),
-                cumulative_dissipation=cum,
-            )
-        ]
-        self.mins = [(t, x_m, h_m)]
-        self.flux_rows: list[FluxEnergyReport] = []
+        self.ledger: list[EnergyLedger] = []
+        self.mins: list[tuple[float, float, float]] = []
+        self.flux_rows = [np.empty((0, 4))]
+        self.iters = [0]
+        self.max_residual = 0.0
+        self.snapshots, self.snap_times, self.snap_steps = [], [], []
+        self._evaluate(self.states[:1], [t], [self.cum])
+        self._snapshot(h0.values)
 
-    def push(self, values: np.ndarray) -> None:
-        """Take the next accepted state; a full block is evaluated at once."""
+    def _snapshot(self, values: np.ndarray) -> None:
+        self.snapshots.append(Profile(grid=self.grid, values=values, pressure=self.cfg.pressure))
+        self.snap_times.append(self.t)
+        self.snap_steps.append(self.step)
+
+    def push(self, values: np.ndarray, t: float, iters: int, solver_residual: float) -> None:
+        """Take the next accepted state, stamped t; a full block is
+        evaluated at once."""
+        self.step += 1
+        self.t = t
+        self.iters.append(iters)
+        self.max_residual = max(self.max_residual, solver_residual)
         self.filled += 1
         self.states[self.filled] = values
+        self.times.append(t)
+        if self.step % self.cfg.output_every == 0:
+            self._snapshot(values)
         if self.filled == BLOCK:
             self.flush()
 
+    def _evaluate(self, states: np.ndarray, times: list[float], cums: list[float]) -> None:
+        """Ledger and minimum rows of a stack of states."""
+        cfg, grid, rule = self.cfg, self.grid, self.cfg.rule
+        energies = energy(states, grid, cfg.pressure, rule).tolist()
+        dissipations = dissipation(states, grid, rule).tolist()
+        where = np.argmin(states, axis=1)
+        x_min = grid.nodes[where].tolist()
+        h_min = states[np.arange(len(states)), where].tolist()
+        for t, e, d, cum, x_m, h_m in zip(times, energies, dissipations, cums, x_min, h_min):
+            self.ledger.append(
+                EnergyLedger(time=t, energy=e, dissipation=d, cumulative_dissipation=cum)
+            )
+            self.mins.append((t, x_m, h_m))
+
     def flush(self) -> None:
-        """Evaluate the states taken since the last flush; every exit path
-        of a run calls it once more."""
+        """Evaluate the states taken since the last flush."""
         m = self.filled
         if m == 0:
             return
-        cfg, grid, rule = self.cfg, self.grid, self.cfg.rule
+        cfg, grid = self.cfg, self.grid
         block = self.states[: m + 1]
-        new = block[1:]
         midpoints = self.midpoints[:m]
-        np.add(block[:-1], new, out=midpoints)
+        np.add(block[:-1], block[1:], out=midpoints)
         midpoints *= 0.5
-        energies = energy(new, grid, cfg.pressure, rule).tolist()
-        dissipations = dissipation(new, grid, rule).tolist()
-        increments = (cfg.dt * dissipation(midpoints, grid, rule)).tolist()
-        where = np.argmin(new, axis=1)
-        x_min = grid.nodes[where].tolist()
-        h_min = new[np.arange(m), where].tolist()
-        times = [(self.step + j) * cfg.dt for j in range(1, m + 1)]
-        for t, e, d, increment, x_m, h_m in zip(
-            times, energies, dissipations, increments, x_min, h_min
-        ):
-            self.cum += increment
-            self.ledger.append(
-                EnergyLedger(time=t, energy=e, dissipation=d, cumulative_dissipation=self.cum)
-            )
-            self.mins.append((t, x_m, h_m))
+        increments = (cfg.dt * dissipation(midpoints, grid, cfg.rule)).tolist()
+        cums = list(accumulate(increments, initial=self.cum))[1:]
+        self._evaluate(block[1:], self.times, cums)
         if cfg.flux_diagnostics:
-            self.flux_rows += flux_energy_report(
-                block, _mobility(block, cfg), grid, cfg.dt, times
+            self.flux_rows.append(
+                flux_energy_report(block, _mobility(block, cfg), grid, cfg.dt, self.times)
             )
+        self.cum = cums[-1]
         self.states[0] = self.states[m]
-        self.step += m
+        self.times = []
         self.filled = 0
+
+    def trajectory(self, termination: Termination, failure_message: str | None,
+                   history: tuple[np.ndarray, ...]) -> Trajectory:
+        """The run so far, with the last state as its final snapshot."""
+        self.flush()
+        if self.snap_steps[-1] != self.step:
+            self._snapshot(self.states[0])
+        return Trajectory(
+            config=self.cfg,
+            grid=self.grid,
+            times=np.asarray(self.snap_times),
+            snapshots=self.snapshots,
+            snapshot_steps=np.asarray(self.snap_steps, dtype=int),
+            ledger=self.ledger,
+            min_series=np.asarray(self.mins),
+            picard_iters=np.asarray(self.iters, dtype=int),
+            termination=termination,
+            failure_message=failure_message,
+            flux_reports=np.concatenate(self.flux_rows),
+            max_solver_residual=self.max_residual,
+            end=RunStart(step=self.step, cumulative_dissipation=self.cum, history=history),
+        )
 
 
 def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajectory:
@@ -295,9 +335,8 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     restored state and start.history seeds the Picard predictor.  Step k is
     stamped with time k * dt either way.  A start past t_final is an error;
     one at t_final takes no step.  The step loop holds the state as an
-    array and keeps only what the next step reads; a state becomes a Profile
-    only as a kept snapshot, and the ledger is evaluated per block of BLOCK
-    steps.
+    array and keeps only what the next step reads; each accepted state goes
+    to the run's record once, with its time.
     """
     _validate_initial(h0, cfg, fresh=start is None)
     grid = h0.grid
@@ -309,72 +348,31 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     if start.step > total_steps:
         raise ValueError("restart point is already past the configured t_final")
 
-    def snapshot(values: np.ndarray) -> Profile:
-        return Profile(grid=grid, values=values, pressure=cfg.pressure)
-
-    diagnostics = _StepDiagnostics(cfg, h0, start.step, start.cumulative_dissipation)
+    record = _StepDiagnostics(cfg, h0, start.step * cfg.dt, start)
     h = h0.values
-    iters_list = [0]
-    snapshots = [snapshot(h)]
-    snap_times = [start.step * cfg.dt]
-    snap_steps = [start.step]
-    max_residual = 0.0
-    termination = None
-    failure_message = None
-
     history = start.history
     k = start.step
-    if cfg.pinch_floor > 0.0 and h.min() <= cfg.pinch_floor:
-        termination = Termination.PINCH_DETECTED
-    while termination is None:
+    failure_message = None
+    while True:
+        if cfg.pinch_floor > 0.0 and h.min() <= cfg.pinch_floor:
+            termination = Termination.PINCH_DETECTED
+            break
         if k >= total_steps:
             termination = Termination.REACHED_T_FINAL
             break
         try:
             result, iters = step_nonlinear(h, grid, cfg, history)
         except PicardConvergenceError as exc:
-            termination = Termination.PICARD_FAILURE
-            failure_message = str(exc)
+            termination, failure_message = Termination.PICARD_FAILURE, str(exc)
             break
         except LinearSolveError as exc:
-            termination = Termination.SOLVER_FAILURE
-            failure_message = str(exc)
+            termination, failure_message = Termination.SOLVER_FAILURE, str(exc)
             break
         k += 1
-        max_residual = max(max_residual, result.solver_residual)
-        iters_list.append(iters)
         history = (*history[-1:], h)
         h = result.values
-        diagnostics.push(h)
-        if k % cfg.output_every == 0:
-            snapshots.append(snapshot(h))
-            snap_times.append(k * cfg.dt)
-            snap_steps.append(k)
-        if cfg.pinch_floor > 0.0 and h.min() <= cfg.pinch_floor:
-            termination = Termination.PINCH_DETECTED
-            break
-    diagnostics.flush()
-
-    if snap_steps[-1] != k:
-        snapshots.append(snapshot(h))
-        snap_times.append(diagnostics.ledger[-1].time)
-        snap_steps.append(k)
-
-    return Trajectory(
-        config=cfg,
-        grid=grid,
-        times=np.asarray(snap_times),
-        snapshots=snapshots,
-        snapshot_steps=np.asarray(snap_steps, dtype=int),
-        ledger=diagnostics.ledger,
-        min_series=np.asarray(diagnostics.mins),
-        picard_iters=np.asarray(iters_list, dtype=int),
-        termination=termination,
-        failure_message=failure_message,
-        flux_reports=diagnostics.flux_rows,
-        max_solver_residual=max_residual,
-        end=RunStart(step=k, cumulative_dissipation=diagnostics.cum, history=history),
-    )
+        record.push(h, k * cfg.dt, iters, result.solver_residual)
+    return record.trajectory(termination, failure_message, history)
 
 
 @dataclass(frozen=True)

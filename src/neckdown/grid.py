@@ -83,19 +83,16 @@ class Profile:
         object.__setattr__(self, "values", values)
 
 
-def make_grid(n: int) -> Grid:
-    """Build the uniform grid with n nodes.
+def check_nodes(n: int) -> None:
+    """ValueError unless the node count n is odd, so that x = 0 is a node,
+    and at least MIN_NODES, so that all one-sided stencils fit."""
+    if n < MIN_NODES or n % 2 == 0:
+        raise ValueError(f"n must be odd and >= {MIN_NODES}, got {n}")
 
-    Parameters
-    ----------
-    n : int
-        Node count; must be odd and at least 9 so that x = 0 is a node and
-        all one-sided stencils fit.
-    """
-    if n < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
-    if n % 2 == 0:
-        raise ValueError(f"node count must be odd so x=0 is a node, got {n}")
+
+def make_grid(n: int) -> Grid:
+    """Build the uniform grid with n nodes (see check_nodes)."""
+    check_nodes(n)
     nodes = (2.0 * np.arange(n) - (n - 1)) / (n - 1)
     nodes.flags.writeable = False
     return Grid(n=n, dx=2.0 / (n - 1), nodes=nodes)

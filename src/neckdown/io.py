@@ -1,9 +1,11 @@
 """Run manifests and file output: ledger CSV, snapshot JSON lines, report
 JSON, checkpoints.
 
-All floating-point text uses 17 significant digits, which round-trips IEEE
-doubles exactly; identical manifests therefore produce byte-identical files,
-and a checkpoint restores the solver state bit for bit.
+The CSV files and snapshot lines write every float with %.17g; report.json
+and the checkpoint go through json.dumps, which writes the shortest repr
+that reads back as the same double.  Both round-trip IEEE doubles exactly,
+so identical manifests produce byte-identical files and a checkpoint
+restores the solver state bit for bit.
 
 What the solver writes it reads back through one number check,
 `initial.check_json_numbers`: snapshot rows come back with their values as
@@ -108,10 +110,7 @@ def write_ledger_csv(traj: Trajectory, path: Path) -> None:
 
 
 def write_flux_csv(traj: Trajectory, path: Path) -> None:
-    rows = (
-        (r.time, r.weighted_flux_norm, r.flux_curvature_norm, r.identity_residual)
-        for r in traj.flux_reports
-    )
+    rows = traj.flux_reports.tolist()
     path.write_text("\n".join([FLUX_HEADER, *map(_g17_row, rows)]) + "\n")
 
 
@@ -139,8 +138,11 @@ def read_snapshots_jsonl(path: Path) -> list[dict]:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = _SNAPSHOT_DECODER.decode(line)
             where = f"{path} line {number}"
+            try:
+                row = _SNAPSHOT_DECODER.decode(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where} is not JSON: {exc}") from None
             check_json_type(where, row, dict, "a JSON object")
             if "values" not in row:
                 raise ValueError(f"{where} lacks the 'values' key")

@@ -238,31 +238,24 @@ def step_linear(
     return StepResult(values=new_values, solver_residual=residual, backward_error=backward)
 
 
-@dataclass(frozen=True, slots=True)
-class FluxEnergyReport:
-    """One row of flux-level energy diagnostics across a step."""
-
-    time: float
-    weighted_flux_norm: float       # ||w / sqrt(g)||_L2 at the new time
-    flux_curvature_norm: float      # ||d2 w||_L2 at the new time
-    identity_residual: float        # defect of the one-step flux energy balance
-
-
 def flux_energy_report(
     values: np.ndarray,
     mobility: np.ndarray,
     grid: Grid,
     dt: float,
     times: list[float],
-) -> list[FluxEnergyReport]:
+) -> np.ndarray:
     """Discrete balance of d/dt int w^2/g = int (dt g / g^2) w^2 - 2 int |d2 w|^2
     across each step of a sequence of states.
 
     values and mobility are (k+1, n) stacks of consecutive states h^0..h^k,
-    oldest first, and of their mobilities; report j covers the step from
-    h^j to h^(j+1) and is stamped times[j].  Each state's flux w = g d3 h,
-    int w^2/g, d2 w and int |d2 w|^2 are computed once, for the steps on both
-    sides of it.  The residual uses trapezoid-in-time averages of the right
+    oldest first, and of their mobilities.  Returns a (k, 4) float64 array,
+    the columns of the flux CSV: row j covers the step from h^j to h^(j+1)
+    and holds times[j], the weighted flux norm ||w / sqrt(g)||_L2 and the
+    flux curvature norm ||d2 w||_L2 at h^(j+1), and the defect of the
+    balance across the step.  Each state's flux w = g d3 h, int w^2/g, d2 w
+    and int |d2 w|^2 are computed once, for the steps on both sides of
+    it.  The residual uses trapezoid-in-time averages of the right
     side across the step and the finite difference (g - g_prev)/dt for the
     coefficient rate; it vanishes to first order for smooth data and is
     identically small when the mobility is frozen.
@@ -284,14 +277,4 @@ def flux_energy_report(
         - dt * 0.5 * (source_new + source_old)
         + 2.0 * dt * 0.5 * (sink[1:] + sink[:-1])
     )
-    return [
-        FluxEnergyReport(
-            time=float(t),
-            weighted_flux_norm=flux_norm,
-            flux_curvature_norm=curvature_norm,
-            identity_residual=defect,
-        )
-        for t, flux_norm, curvature_norm, defect in zip(
-            times, np.sqrt(q[1:]).tolist(), np.sqrt(sink[1:]).tolist(), residual.tolist()
-        )
-    ]
+    return np.column_stack([times, np.sqrt(q[1:]), np.sqrt(sink[1:]), residual])

@@ -126,12 +126,14 @@ def test_snapshots_read_back_as_the_written_float64_arrays(tmp_path_factory, dat
         '{"t": 0.1, "step": 1}',
         '{"t": 0.1, "step": 1, "values": {"0": 1.0}}',
         '[0.1, 1, [1.0, 0.5, 1.0]]',
+        '{"t": 0.1, "step": 1, "values": [1.0, 0.5',
     ],
-    ids=["bool", "numeric-string", "no-values-key", "values-object", "row-list"],
+    ids=["bool", "numeric-string", "no-values-key", "values-object", "row-list", "truncated"],
 )
 def test_malformed_snapshot_row_is_rejected_naming_its_line(tmp_path, bad_row):
-    """np.asarray would read true as 1.0 and "0.5" as 0.5; the reader names
-    the line instead."""
+    """np.asarray would read true as 1.0 and "0.5" as 0.5, and json's own
+    error on a truncated row names no file; the reader names the line
+    instead."""
     path = tmp_path / "snapshots.jsonl"
     path.write_text('{"t": 0, "step": 0, "values": [1.0, 0.5, 1.0]}\n' + bad_row + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path} line 2")):
@@ -245,14 +247,10 @@ def test_execute_run_writes_parseable_artifacts(tmp_path):
     assert flux_lines[0].startswith("t,")
     assert len(flux_lines) == 1 + len(traj.flux_reports)
     assert flux_lines[0] == FLUX_HEADER
-    expected = np.array(
-        [
-            (r.time, r.weighted_flux_norm, r.flux_curvature_norm, r.identity_residual)
-            for r in traj.flux_reports
-        ]
-    )
     parsed = np.array([[float(v) for v in line.split(",")] for line in flux_lines[1:]])
-    assert parsed.tobytes() == expected.tobytes()
+    assert traj.flux_reports.dtype == np.float64
+    assert parsed.shape == traj.flux_reports.shape
+    assert parsed.tobytes() == traj.flux_reports.tobytes()
 
 
 def test_execute_run_is_deterministic(tmp_path):
@@ -685,6 +683,33 @@ def test_cli_sweep_keeps_the_batch_when_a_job_fails(tmp_path, capsys, workers):
         capsys.readouterr().err
     )
     assert (tmp_path / "sweep" / "P1" / "report.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "pressures, named",
+    [("1,1.0000001", "1.0, 1.0000001 in P1"), ("2,1.5,2", "2.0, 2.0 in P2")],
+    ids=["same-to-6-digits", "repeated"],
+)
+def test_cli_sweep_rejects_pressures_that_share_a_job_directory(
+    tmp_path, capsys, workers, pressures, named
+):
+    """Jobs whose P{p:g} directories coincide would write the same files, so
+    the sweep exits 2 before any job runs, names them and writes nothing."""
+    rc = main(
+        [
+            "sweep",
+            "--pressures", pressures,
+            "--workers", workers,
+            "--n", "51",
+            "--dt", "1e-3",
+            "--t-final", "0.005",
+            "--out-dir", str(tmp_path / "sweep"),
+        ]
+    )
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 NON_DEFAULT_SOLVER_FLAGS = [

@@ -373,7 +373,7 @@ def per_step_diagnostics(traj: Trajectory, cum: float = 0.0) -> list[np.ndarray]
     cfg, grid = traj.config, traj.grid
     steps = traj.snapshot_steps.tolist()
     assert steps == list(range(steps[0], steps[-1] + 1))
-    ledger, mins, flux = [], [], []
+    ledger, mins, flux = [], [], [np.empty((0, 4))]
     prev = None
     for k, state in zip(steps, traj.snapshots):
         t = k * cfg.dt
@@ -382,13 +382,13 @@ def per_step_diagnostics(traj: Trajectory, cum: float = 0.0) -> list[np.ndarray]
             cum += cfg.dt * dissipation(0.5 * (prev + h), grid, cfg.rule)
             if cfg.flux_diagnostics:
                 g = np.stack([_mobility(prev, cfg), _mobility(h, cfg)])
-                flux += flux_energy_report(np.stack([prev, h]), g, grid, cfg.dt, [t])
+                flux.append(flux_energy_report(np.stack([prev, h]), g, grid, cfg.dt, [t]))
         ledger.append(
             (t, energy(h, grid, cfg.pressure, cfg.rule), dissipation(h, grid, cfg.rule), cum)
         )
         mins.append((t, *min_value(state)))
         prev = h
-    return [np.array(ledger), np.array(mins), np.array([astuple(r) for r in flux])]
+    return [np.array(ledger), np.array(mins), np.concatenate(flux)]
 
 
 def diagnostics(traj: Trajectory) -> list[np.ndarray]:
@@ -396,7 +396,7 @@ def diagnostics(traj: Trajectory) -> list[np.ndarray]:
     return [
         np.array([astuple(r) for r in traj.ledger]),
         traj.min_series,
-        np.array([astuple(r) for r in traj.flux_reports]),
+        traj.flux_reports,
     ]
 
 
@@ -434,7 +434,7 @@ def test_block_ledger_matches_per_step_evaluation(steps, termination, config):
     traj = run(cfg, h0)
     assert traj.termination is termination
     assert len(traj.ledger) == steps + 1
-    assert len(traj.flux_reports) == steps
+    assert traj.flux_reports.shape == (steps, 4)
     assert_same_bits(diagnostics(traj), per_step_diagnostics(traj))
 
 

@@ -224,24 +224,28 @@ def test_repeated_steps_dissipate_energy_and_contract(grid201):
 
 
 def flux_report(cur, mobility, prev, mobility_prev, grid, dt, time=0.0):
-    """flux_energy_report of the single step from prev to cur."""
-    (rep,) = flux_energy_report(
+    """flux_energy_report of the single step from prev to cur: its one row,
+    (t, weighted_flux_norm, flux_curvature_norm, identity_residual)."""
+    report = flux_energy_report(
         np.stack([prev, cur]),
         np.stack([mobility_prev, mobility]),
         grid,
         dt,
         [time],
     )
-    return rep
+    assert report.shape == (1, 4) and report.dtype == np.float64
+    return report[0]
 
 
 def test_flux_report_vanishes_on_steady_state(grid201):
     sp = steady_profile(1.0, grid201)
     ones = np.ones(grid201.n)
-    rep = flux_report(sp, ones, sp, ones, grid201, 1e-4)
-    assert rep.weighted_flux_norm < 1e-8
-    assert rep.flux_curvature_norm < 1e-4
-    assert abs(rep.identity_residual) < 1e-12
+    _, weighted_flux_norm, flux_curvature_norm, identity_residual = flux_report(
+        sp, ones, sp, ones, grid201, 1e-4
+    )
+    assert weighted_flux_norm < 1e-8
+    assert flux_curvature_norm < 1e-4
+    assert abs(identity_residual) < 1e-12
 
 
 def test_flux_report_norm_decays_for_constant_mobility(grid201):
@@ -250,8 +254,11 @@ def test_flux_report_norm_decays_for_constant_mobility(grid201):
     norms = []
     for k in range(6):
         cur = step_linear(prev, grid201, ones, 1e-4, 1.0).values
-        rep = flux_report(cur, ones, prev, ones, grid201, 1e-4, time=(k + 1) * 1e-4)
-        norms.append(rep.weighted_flux_norm)
+        t, weighted_flux_norm, _, _ = flux_report(
+            cur, ones, prev, ones, grid201, 1e-4, time=(k + 1) * 1e-4
+        )
+        assert t == (k + 1) * 1e-4
+        norms.append(weighted_flux_norm)
         prev = cur
     assert all(b <= a for a, b in zip(norms, norms[1:]))
 
@@ -263,8 +270,8 @@ def test_flux_report_residual_is_first_order_in_dt(grid201):
         h = perturbed_state(grid201)
         r1 = step_linear(h, grid201, ones, dt, 1.0).values
         r2 = step_linear(r1, grid201, ones, dt, 1.0).values
-        rep = flux_report(r2, ones, r1, ones, grid201, dt)
-        residuals.append(abs(rep.identity_residual))
+        _, _, _, identity_residual = flux_report(r2, ones, r1, ones, grid201, dt)
+        residuals.append(abs(identity_residual))
     assert residuals[0] < 1e-6
     for a, b in zip(residuals, residuals[1:]):
         assert 1.8 < a / b < 2.2
