@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .evolve import SolverConfig, Termination, epsilon_continuation
 from .grid import Profile, make_grid
-from .initial import build_initial_condition
+from .initial import build_initial_condition, read_json
 from .io import (
     RunManifest,
     _g17,
@@ -75,7 +75,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     """The solver flags' dest names are the SolverConfig field names."""
     file_values = None
     if args.config is not None:
-        file_values = json.loads(Path(args.config).read_text())
+        file_values = read_json(args.config, "config file")
     return resolve_config(vars(args), file_values)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .functionals import EnergyLedger, dissipation, energy
 from .grid import Grid, Profile, check_nodes, derivative, h1_norm
 from .initial import bc_residuals
-from .linear import LinearSolveError, StepResult, flux_energy_report, step_linear
+from .linear import LinearSolveError, StepResult, Workspace, flux_energy_report, step_linear
 from .steady import check_pressure, steady_profile
 
 VALUE_ROW_TOL = 1e-9
@@ -136,52 +136,78 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _mobility(values: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _mobility(values: np.ndarray, cfg: SolverConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """g of the values, into out when given."""
     if cfg.epsilon > 0.0:
-        return np.sqrt(values * values + cfg.epsilon**2)
-    return np.maximum(values, cfg.pinch_floor / 10.0)
+        g = np.multiply(values, values, out=out)
+        g += cfg.epsilon**2
+        return np.sqrt(g, out=g)
+    return np.maximum(values, cfg.pinch_floor / 10.0, out=out)
 
 
-def _predictor(values: np.ndarray, history: tuple[np.ndarray, ...]) -> np.ndarray:
+def _predictor(values: np.ndarray, history: tuple[np.ndarray, ...], ws: Workspace) -> np.ndarray:
     """The polynomial through the accepted states, oldest first in history
     and values last, extrapolated one step: 3h^n - 3h^(n-1) + h^(n-2),
-    2h^n - h^(n-1), or h^n itself without history."""
+    2h^n - h^(n-1), or h^n itself without history.  The extrapolation is
+    taken in ws.predictor, with a row of ws.pair as scratch."""
     if not history:
         return values
+    out = ws.predictor
     if len(history) == 1:
-        return 2.0 * values - history[0]
+        np.multiply(2.0, values, out=out)
+        out -= history[0]
+        return out
     older, old = history
-    return 3.0 * values - 3.0 * old + older
+    np.multiply(3.0, values, out=out)
+    out -= np.multiply(3.0, old, out=ws.pair[0])
+    out += older
+    return out
 
 
 def step_nonlinear(
-    values: np.ndarray, grid: Grid, cfg: SolverConfig, history: tuple[np.ndarray, ...] = ()
+    values: np.ndarray,
+    grid: Grid,
+    cfg: SolverConfig,
+    history: tuple[np.ndarray, ...] = (),
+    scale: float | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[StepResult, int]:
     """One implicit step from the nodal values h_old, with coefficient-lagged
     fixed-point iteration.
 
     The iteration starts from the extrapolation of h_old through history,
     the values of up to two accepted states before h_old, oldest first; the
-    stop test compares successive iterates whatever the start.  Returns the
-    accepted step and the number of iterations used (one banded solve
-    each).  Raises PicardConvergenceError when picard_max iterations do not
-    settle to picard_tol relative in H^1, and LinearSolveError on solver
-    trouble.
+    stop test compares successive iterates whatever the start, relative to
+    scale, the H^1 norm of h_old, taken here when not given.  Each iterate
+    takes the H^1 norms of its update and of itself in one call; the
+    accepted iterate's norm is left in the workspace's accepted_norm for
+    the next step's scale.  The step fills workspace, or a fresh
+    Workspace(grid, cfg.pressure).  Returns the accepted step and the number
+    of iterations used (one banded solve each).  Raises
+    PicardConvergenceError when picard_max iterations do not settle to
+    picard_tol relative in H^1, and LinearSolveError on solver trouble.
     """
     if cfg.epsilon == 0.0 and values.min() <= cfg.pinch_floor:
         raise ValueError(
             "unregularized step requires min(h) above the pinch floor"
         )
-    scale = h1_norm(values, grid)
-    prev = _predictor(values, history)
+    ws = workspace or Workspace(grid, cfg.pressure)
+    ws.check(grid, cfg.pressure)
+    if scale is None:
+        scale = h1_norm(values, grid)
+    prev = _predictor(values, history, ws)
     for iteration in range(1, cfg.picard_max + 1):
-        g = _mobility(prev, cfg)
+        g = _mobility(prev, cfg, ws.mobility)
         result = step_linear(
-            values, grid, g, cfg.dt, cfg.pressure, crank_nicolson=cfg.crank_nicolson
+            values, grid, g, cfg.dt, cfg.pressure,
+            crank_nicolson=cfg.crank_nicolson, workspace=ws,
         )
-        delta = h1_norm(result.values - prev, grid)
+        np.subtract(result.values, prev, out=ws.pair[0])
+        ws.pair[1] = result.values
+        delta, norm = h1_norm(ws.pair, grid).tolist()
         prev = result.values
         if delta <= cfg.picard_tol * scale:
+            ws.accepted_norm = norm
             return result, iteration
     raise PicardConvergenceError(
         f"no convergence in {cfg.picard_max} iterations "
@@ -349,7 +375,9 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         raise ValueError("restart point is already past the configured t_final")
 
     record = _StepDiagnostics(cfg, h0, start.step * cfg.dt, start)
+    workspace = Workspace(grid, cfg.pressure)
     h = h0.values
+    scale = None                # H^1 norm of h, once a step has taken it
     history = start.history
     k = start.step
     failure_message = None
@@ -361,7 +389,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
             termination = Termination.REACHED_T_FINAL
             break
         try:
-            result, iters = step_nonlinear(h, grid, cfg, history)
+            result, iters = step_nonlinear(h, grid, cfg, history, scale, workspace)
         except PicardConvergenceError as exc:
             termination, failure_message = Termination.PICARD_FAILURE, str(exc)
             break
@@ -371,6 +399,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         k += 1
         history = (*history[-1:], h)
         h = result.values
+        scale = workspace.accepted_norm
         record.push(h, k * cfg.dt, iters, result.solver_residual)
     return record.trajectory(termination, failure_message, history)
 

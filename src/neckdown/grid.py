@@ -213,11 +213,49 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def h1_norm(values: np.ndarray, grid: Grid) -> float:
+def h1_norm(values: np.ndarray, grid: Grid) -> float | np.ndarray:
     """Discrete H^1 norm sqrt(int h^2 + int |d1 h|^2) of a raw nodal field,
-    trapezoid in both terms (used in Picard stopping tests)."""
-    d1 = _apply(_derivative_operator(grid.n, 1), values, grid.dx, 1)
-    return float(np.sqrt(quadrature(values**2, grid) + quadrature(d1**2, grid)))
+    trapezoid in both terms (used in Picard stopping tests), or the (k,)
+    norms of the rows of a (k, n) stack.
+
+    A stack takes one csr_matvec with the block-diagonal operator of
+    _stacked_first_difference, not _apply's csr_matvecs path, which costs
+    more than the rows it saves for small k.  The rows and their
+    derivatives share one (2k, n) buffer that is squared, summed row by row
+    and trapezoid-corrected at once, so each norm gets the bits of its row's
+    own call.
+    """
+    n = grid.n
+    values = np.asarray(values, dtype=float)
+    shape = values.shape
+    if shape == (n,):
+        d1 = _apply(_derivative_operator(n, 1), values, grid.dx, 1)
+        return float(np.sqrt(quadrature(values**2, grid) + quadrature(d1**2, grid)))
+    if len(shape) != 2 or shape[1] != n:
+        raise ValueError(f"field has shape {shape}, operator has {n} nodes")
+    k = shape[0]
+    indptr, indices, data = _stacked_first_difference(n, k)
+    terms = np.zeros((2 * k, n))
+    terms[:k] = values
+    csr_matvec(k * n, k * n, indptr, indices, data, terms[:k].ravel(), terms[k:].ravel())
+    terms[k:] /= grid.dx
+    terms *= terms
+    q = quadrature(terms, grid)
+    return np.sqrt(q[:k] + q[k:])
+
+
+@lru_cache(maxsize=8)
+def _stacked_first_difference(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, data) of the (kn, kn) block-diagonal
+    matrix with k copies of the order-1 operator on n nodes.  Each row keeps
+    its entries in that operator's storage order, so one csr_matvec over a
+    C-ordered (k, n) stack gives every row the bits of its own product."""
+    op = _derivative_operator(n, 1)
+    shifts = np.arange(k)[:, None]
+    indptr = np.concatenate([[0], (op.indptr[1:] + op.indptr[-1] * shifts).ravel()])
+    indices = (op.indices + n * shifts).ravel()
+    return (indptr.astype(op.indptr.dtype), indices.astype(op.indices.dtype),
+            np.tile(op.data, k))
 
 
 def min_value(p: Profile) -> tuple[float, float]:

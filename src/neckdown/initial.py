@@ -162,10 +162,21 @@ def check_json_numbers(name: str, value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def read_json(path: str | Path, name: str):
+    """The JSON document in the file at path; bytes that are not JSON text,
+    or not in a JSON encoding, raise ValueError naming the file, as name and
+    path."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data)
+    except ValueError as exc:
+        raise ValueError(f"{name} {path} is not JSON: {exc}") from None
+
+
 def ic_from_file(path: str | Path, grid: Grid) -> np.ndarray:
     """Nodal values from a JSON file {"values": [...]} matching the grid,
     unprojected.  A file of any other shape raises ValueError naming it."""
-    data = json.loads(Path(path).read_text())
+    data = read_json(path, "initial-condition file")
     check_json_type("initial-condition file", data, dict, "a JSON object")
     if "values" not in data:
         raise ValueError("initial-condition file lacks the 'values' key")

@@ -35,7 +35,13 @@ from .evolve import (
     run,
 )
 from .grid import Profile, make_grid
-from .initial import NUMBER, build_initial_condition, check_json_numbers, check_json_type
+from .initial import (
+    NUMBER,
+    build_initial_condition,
+    check_json_numbers,
+    check_json_type,
+    read_json,
+)
 
 IC_FAMILIES = ("steady", "steady-perturbed-poly", "steady-perturbed-random", "file")
 
@@ -245,7 +251,7 @@ def load_checkpoint(path: Path, cfg: SolverConfig) -> tuple[Profile, RunStart]:
     """The state and RunStart a checkpoint holds.  A missing or mistyped key
     raises ValueError naming it; history defaults to none, and other keys
     (older checkpoints hold a time) are ignored."""
-    state = json.loads(Path(path).read_text())
+    state = read_json(path, "checkpoint")
     check_json_type("checkpoint", state, dict, "a JSON object")
     state = {"history": [], **state}
     for key, (kind, wanted, bound) in _CHECKPOINT_KEYS.items():

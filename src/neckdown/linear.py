@@ -12,14 +12,15 @@ factors and solves in one call (it is gbtrf followed by gbtrs), and it is
 the only factorization: when a solve is rejected, gbcon estimates the
 condition number of that block from the LU gbsv returned.  The
 backward-error gate tests the full system.  States are plain float64 arrays
-here; nothing in the step builds a Profile.
+here; nothing in the step builds a Profile.  A run's solves share one
+Workspace: its band keeps the boundary rows, and each solve rewrites only
+the interior rows and the buffers in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbcon, dgbsv
@@ -36,21 +37,108 @@ class LinearSolveError(RuntimeError):
     """Banded solve failed or produced an unacceptable residual."""
 
 
-def _band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for A in (5, n) band storage."""
-    return _row_sums(ab * x)
+def _band_product(ab: np.ndarray, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+    """A x for A in (5, n) band storage, in workspace's product buffer when
+    given."""
+    if workspace is None:
+        return _row_sums(ab * x)
+    np.multiply(ab, x, out=workspace.product)
+    return _row_sums(workspace.product, workspace.product_views)
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Row sums of a (5, n) band-stored matrix, in place: entry (i, j) sits at
-    terms[2 + i - j, j], and each row adds its diagonal, then the entries
-    at j = i+1, i+2, i-1, i-2.  Returns a view of terms[2]."""
+def _row_sum_views(terms: np.ndarray) -> tuple:
+    """(out, pairs): out = terms[2] and the (target, source) views that
+    _row_sums adds, for a (5, n) band-stored array.  Entry (i, j) sits at
+    terms[2 + i - j, j], and each row adds its diagonal, then the entries at
+    j = i+1, i+2, i-1, i-2."""
     out = terms[2]
-    out[:-1] += terms[1, 1:]
-    out[:-2] += terms[0, 2:]
-    out[1:] += terms[3, :-1]
-    out[2:] += terms[4, :-2]
+    return out, ((out[:-1], terms[1, 1:]), (out[:-2], terms[0, 2:]),
+                 (out[1:], terms[3, :-1]), (out[2:], terms[4, :-2]))
+
+
+def _row_sums(terms: np.ndarray, views: tuple | None = None) -> np.ndarray:
+    """Row sums of a (5, n) band-stored matrix, in place, in the order of
+    _row_sum_views(terms), or of views, which a workspace keeps for its
+    product buffer.  Returns a view of terms[2]."""
+    out, pairs = views or _row_sum_views(terms)
+    for target, source in pairs:
+        target += source
     return out
+
+
+def _interior_abs_row_sums(diagonals: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """Row sums of |A| on the interior rows 2..n-3 into out (length n-4),
+    with the bits of _row_sums(np.abs(ab)) there, from the interior
+    diagonals (i, i+2), (i, i+1), (i, i), (i, i-1), (i, i-2).  Their signs
+    are +, -, +, -, + because assemble_operator checks g > 0 and dt > 0, so
+    each |entry| is added in _row_sums' order as the entry itself or
+    subtracted as it: diag - up1 + up2 - lo1 + lo2."""
+    up2, up1, diag, lo1, lo2 = diagonals
+    np.subtract(diag, up1, out=out)
+    out += up2
+    out -= lo1
+    out += lo2
+    return out
+
+
+class Workspace:
+    """The arrays that the implicit steps of one run, on one grid at one
+    pressure, fill in place.
+
+    band is (I + dt L_g) in (5, n) band storage, and diagonals are the views
+    of its interior rows that assemble_operator rewrites.  The four boundary
+    rows are written here once, with boundary_norm, their largest |A| row
+    sum.  gate holds the four vectors whose largest |entry| the
+    backward-error gate takes in one pass: rhs (row 0, with the boundary
+    targets 1, P, P, 1), the residual, the solution and the interior |A|
+    row sums, in the first n-4 entries of row 3 (the rest stay zero, below
+    any row sum, which is at least 1).  lu is gbsv's Fortran-ordered
+    (7, n-2) buffer and product the (5, n) band product.  predictor,
+    mobility and pair are evolve.step_nonlinear's Picard buffers (pair holds
+    an iterate's update and the iterate, whose H^1 norms are taken in one
+    call), and accepted_norm is the H^1 norm of the values its last step
+    accepted.  A workspace serves one node count and pressure; check raises
+    ValueError on any other.
+    """
+
+    def __init__(self, grid: Grid, pressure: float):
+        n, dx = grid.n, grid.dx
+        self.n = n
+        self.pressure = float(pressure)
+        # rows 0 and n-1 pin the values to 1; row 1 (columns 0..3) and row
+        # n-2 (columns n-4..n-1, the exact mirror) impose d2 h = P
+        band = self.band = np.zeros((5, n))
+        band[2, 0] = 1.0
+        band[2, n - 1] = 1.0
+        w = CURVATURE_STENCIL / dx**2
+        band[3, 0], band[2, 1], band[1, 2], band[0, 3] = w
+        band[4, n - 4], band[3, n - 3], band[2, n - 2], band[1, n - 1] = w[::-1]
+        self.diagonals = (band[0, 4:], band[1, 3:-1], band[2, 2:-2], band[3, 1:-3], band[4, :-4])
+        # the interior rows are still zero, so the largest row sum is a
+        # boundary row's, which no interior write changes
+        self.boundary_norm = float(_row_sums(np.abs(band)).max())
+        self.gate = np.zeros((4, n))
+        self.gate_abs = np.empty((4, n))
+        self.rhs = self.gate[0]
+        self.rhs[0] = self.rhs[n - 1] = 1.0
+        self.rhs[1] = self.rhs[n - 2] = self.pressure
+        self.abs_sums = self.gate[3, :-4]
+        self.g_face = np.empty(n - 3)
+        self.lu = _lu_buffer(band[:, 1:-1])
+        self.product = np.empty((5, n))
+        self.product_views = _row_sum_views(self.product)
+        self.predictor = np.empty(n)
+        self.mobility = np.empty(n)
+        self.pair = np.empty((2, n))
+        self.accepted_norm: float | None = None
+
+    def check(self, grid: Grid, pressure: float) -> None:
+        """ValueError unless grid and pressure are the ones it was built for."""
+        if grid.n != self.n or pressure != self.pressure:
+            raise ValueError(
+                f"workspace for n={self.n}, P={self.pressure!r} "
+                f"cannot serve n={grid.n}, P={pressure!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,38 +169,41 @@ def face_flux(mobility: np.ndarray, values: np.ndarray, dx: float) -> np.ndarray
 
 
 def assemble_operator(
-    mobility: np.ndarray, grid: Grid, dt: float, pressure: float
+    mobility: np.ndarray,
+    grid: Grid,
+    dt: float,
+    pressure: float,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (I + dt L_g) with the four boundary rows: (ab, rhs).
+    """Assemble (I + dt L_g) with the four boundary rows: (ab, rhs), the
+    band and rhs of workspace, or of a fresh Workspace(grid, pressure).
 
     ab is the pentadiagonal matrix in LAPACK band storage, shape (5, n): row
     u + i - j holds entry (i, j) for |i - j| <= 2 (u = 2).  rhs carries the
-    boundary row targets (1, P, P, 1); interior rhs entries are zeros for
-    the caller to fill with h_old.
+    boundary row targets (1, P, P, 1); its interior entries are the caller's
+    to fill with h_old (zeros in a fresh workspace).
     """
+    ws = workspace or Workspace(grid, pressure)
+    ws.check(grid, pressure)
     n = grid.n
     dx = grid.dx
     g = np.asarray(mobility, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"mobility has shape {g.shape}, expected ({n},)")
-    if not (g > 0.0).all():
+    if not g.min() > 0.0:
         raise ValueError("mobility must be positive everywhere")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    band, targets = _boundary_rows(n, dx, float(pressure))
-    ab = band.copy()
-    rhs = targets.copy()
-
     # interior rows i = 2..n-3: I + dt/dx^4 * [gm, -(gp+3gm), 3(gp+gm), -(3gp+gm), gp],
     # written in place; each diagonal repeats the operations, in their order,
     # of the whole-array expression beside it, so it rounds the same way
-    g_face = g[1:-2] + g[2:-1]
+    g_face = np.add(g[1:-2], g[2:-1], out=ws.g_face)
     g_face *= 0.5                   # g_{i+1/2} for i = 1..n-3
     gp = g_face[1:]                 # g_{i+1/2} for interior rows i
     gm = g_face[:-1]                # g_{i-1/2}
     scale = dt / dx**4
-    up2, up1, diag, lo1, lo2 = ab[0, 4:], ab[1, 3:-1], ab[2, 2:-2], ab[3, 1:-3], ab[4, :-4]
+    up2, up1, diag, lo1, lo2 = ws.diagonals
     np.multiply(scale, gp, out=up2)     # (i, i+2) = scale * gp
     np.multiply(-3.0, gp, out=up1)      # (i, i+1) = scale * (-3.0 * gp - gm)
     up1 -= gm
@@ -125,32 +216,7 @@ def assemble_operator(
     lo1 -= lo2                          # it takes its own diagonal
     lo1 *= scale
     np.multiply(scale, gm, out=lo2)     # (i, i-2) = scale * gm
-    return ab, rhs
-
-
-@lru_cache(maxsize=64)
-def _boundary_rows(n: int, dx: float, pressure: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only band and rhs holding only the four boundary rows.
-
-    Rows 0 and n-1 pin the values to 1; row 1 (columns 0..3) and row n-2
-    (columns n-4..n-1, the exact mirror) impose d2 h = P.  Interior entries
-    are zero; assemble_operator copies both arrays before filling them.
-    """
-    ab = np.zeros((5, n))
-    ab[2, 0] = 1.0
-    ab[2, n - 1] = 1.0
-    w = CURVATURE_STENCIL / dx**2
-    ab[3, 0], ab[2, 1], ab[1, 2], ab[0, 3] = w
-    ab[4, n - 4], ab[3, n - 3], ab[2, n - 2], ab[1, n - 1] = w[::-1]
-
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    rhs[n - 1] = 1.0
-    rhs[1] = pressure
-    rhs[n - 2] = pressure
-    ab.flags.writeable = False
-    rhs.flags.writeable = False
-    return ab, rhs
+    return ws.band, ws.rhs
 
 
 def _lu_buffer(ab: np.ndarray) -> np.ndarray:
@@ -187,9 +253,11 @@ def step_linear(
     dt: float,
     pressure: float,
     crank_nicolson: bool = False,
+    workspace: Workspace | None = None,
 ) -> StepResult:
     """Advance the frozen-coefficient problem one implicit step from the
-    nodal values h_old, which are only read.
+    nodal values h_old, which are only read, in workspace or in a fresh
+    Workspace(grid, pressure); the returned values are a new array.
 
     Backward Euler by default; with crank_nicolson=True the interior rows use
     the trapezoidal split (I + dt/2 L) h_new = h_old - dt/2 L h_old, which is
@@ -197,22 +265,26 @@ def step_linear(
     2 h_old - A h_old with A = I + dt/2 L the assembled band.  Boundary rows
     are enforced at the new time either way.
     """
+    ws = workspace or Workspace(grid, pressure)
     dt_eff = 0.5 * dt if crank_nicolson else dt
-    ab, rhs = assemble_operator(mobility, grid, dt_eff, pressure)
+    ab, rhs = assemble_operator(mobility, grid, dt_eff, pressure, ws)
     if crank_nicolson:
-        rhs[2:-2] = 2.0 * values[2:-2] - _band_product(ab, values)[2:-2]
+        rhs[2:-2] = 2.0 * values[2:-2] - _band_product(ab, values, ws)[2:-2]
     else:
         rhs[2:-2] = values[2:-2]
 
     # h(-1) = h(1) = 1 (rhs rows 0 and n-1): move columns 0 and n-1 into the
     # rhs of rows 1, 2 and n-3, n-2, so that no row swap mixes a value row
     # into the LU of the rows and columns 1..n-2 between them
-    inner = ab[:, 1:-1]
     new_values = rhs.copy()
+    new_values[1] -= ab[3, 0]           # entries (1, 0), (2, 0)
+    new_values[2] -= ab[4, 0]
+    new_values[-3] -= ab[0, -1]         # entries (n-3, n-1), (n-2, n-1)
+    new_values[-2] -= ab[1, -1]
     b = new_values[1:-1]
-    b[:2] -= ab[3:, 0]              # entries (1, 0), (2, 0)
-    b[-2:] -= ab[:2, -1]            # entries (n-3, n-1), (n-2, n-1)
-    lu, ipiv, x, info = dgbsv(_KL, _KU, _lu_buffer(inner), b, overwrite_ab=True)
+    inner = ab[:, 1:-1]
+    ws.lu[_KL:] = inner
+    lu, ipiv, x, info = dgbsv(_KL, _KU, ws.lu, b, overwrite_ab=True)
     if info > 0:
         raise LinearSolveError(
             f"banded solve failed (condition estimate inf): singular matrix, "
@@ -220,14 +292,19 @@ def step_linear(
         )
     b[:] = x
 
-    # a non-finite entry of the solution makes the residual, and so
-    # backward, non-finite: the gate rejects it with no separate scan
-    a_norm = float(_row_sums(np.abs(ab)).max())
-    r = _band_product(ab, new_values)
-    r -= rhs
-    residual = float(np.abs(r, out=r).max())
-    rhs_norm = float(np.abs(rhs).max())
-    x_norm = float(np.abs(new_values).max())
+    # the gate's four infinity norms in one pass over ws.gate; a non-finite
+    # entry of the solution makes the residual, and so backward,
+    # non-finite, and the gate rejects it with no separate scan.  ||A|| is
+    # the larger of the interior and boundary rows' largest sums, the
+    # interior's first so that a NaN would carry through
+    gate = ws.gate
+    np.subtract(_band_product(ab, new_values, ws), rhs, out=gate[1])
+    gate[2] = new_values
+    _interior_abs_row_sums(ws.diagonals, ws.abs_sums)
+    rhs_norm, residual, x_norm, a_interior = (
+        np.maximum.reduce(np.abs(gate, out=ws.gate_abs), axis=1).tolist()
+    )
+    a_norm = max(a_interior, ws.boundary_norm)
     backward = residual / (a_norm * x_norm + rhs_norm)
     if not math.isfinite(backward) or backward > RESIDUAL_RTOL:
         raise LinearSolveError(

@@ -18,7 +18,7 @@ import numpy as np
 from .evolve import SolverConfig, Termination, Trajectory, run, step_nonlinear
 from .grid import Grid, Profile, derivative, make_grid, quadrature, trapezoid_weights
 from .initial import ic_steady_perturbed_poly
-from .linear import face_flux, step_linear
+from .linear import Workspace, face_flux, step_linear
 from .steady import steady_energy, steady_profile
 
 
@@ -89,8 +89,9 @@ def eigenmode_amplitudes(
     ones = np.ones(grid.n)
     h = base + 1e-3 * mode
     a0 = measure(h - base, grid)
+    workspace = Workspace(grid, 1.0)
     for _ in range(steps):
-        h = step_linear(h, grid, ones, dt, 1.0, crank_nicolson=crank_nicolson).values
+        h = step_linear(h, grid, ones, dt, 1.0, crank_nicolson, workspace).values
     return a0, measure(h - base, grid)
 
 

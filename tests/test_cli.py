@@ -608,6 +608,34 @@ def test_cli_malformed_ic_file_exits_two(tmp_path, capsys, payload, complaint):
     assert complaint in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, complaint",
+    [(b'{"config": {', "Expecting property name"), (b'{"n": "\xff"}', "can't decode byte 0xff")],
+    ids=["truncated", "not-utf-8"],
+)
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (lambda path: ["--config", str(path)], "config file"),
+        (lambda path: ["--restore", str(path)], "checkpoint"),
+        (lambda path: ["--ic", f"file:{path}"], "initial-condition file"),
+    ],
+    ids=["config", "restore", "ic-file"],
+)
+def test_cli_file_that_is_not_json_exits_two_naming_it(
+    tmp_path, capsys, flags, name, content, complaint
+):
+    """A file that does not parse, or does not decode, is reported with its
+    role and path, not with the decoder's bare message."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc = main([*SHORT_RUN, "--t-final", "0.01", *flags(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{name} {path} is not JSON: " in err and complaint in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_cli_steady_dump(tmp_path, capsys):
     rc = main(["steady", "--pressure", "8", "--n", "101"])
     assert rc == 0

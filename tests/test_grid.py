@@ -169,6 +169,15 @@ def test_h1_norm_matches_sobolev(grid201):
     assert h1_norm(vals, grid201) == pytest.approx(sobolev, rel=1e-12)
 
 
+def test_h1_norm_of_integer_data_is_that_of_its_float_copy(grid201):
+    """Squares of int64 nodes from about 3.04e9 on wrap around; the norm is
+    taken in float64, for one field as for each row of a stack."""
+    ints = np.full(201, 4 * 10**9) + np.arange(201)
+    expected = h1_norm(ints.astype(float), grid201)
+    assert h1_norm(ints, grid201) == expected
+    assert h1_norm(np.stack([ints, ints]), grid201).tolist() == [expected, expected]
+
+
 def test_min_value_constant_ties_leftmost(grid201):
     p = Profile(grid=grid201, values=np.ones(201), pressure=1.0)
     assert min_value(p) == (-1.0, 1.0)
@@ -238,8 +247,9 @@ def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials
 )
 def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, rule, layout, seed, specials):
     """derivative, quadrature, energy and dissipation take a (k, n) stack
-    through csr_matvecs and row-wise reductions; every row must get the
-    bytes of its own 1-D call, on negative nodes (the dissipation clip),
+    through csr_matvecs and row-wise reductions, and h1_norm through one
+    csr_matvec per row; every row must get the bytes of its own 1-D call,
+    on negative nodes (the dissipation clip),
     signed zeros, subnormals and magnitudes from 1e-8 to 1e8, whatever the
     layout of the stack."""
     grid = make_grid(n)
@@ -263,11 +273,13 @@ def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, rule, layout, see
         "quadrature": [quadrature(row, grid, rule) for row in rows],
         "energy": [energy(row, grid, 1.5, rule) for row in rows],
         "dissipation": [dissipation(row, grid, rule) for row in rows],
+        "h1_norm": [h1_norm(row, grid) for row in rows],
     }
     stacked = {
         "quadrature": quadrature(stack, grid, rule),
         "energy": energy(stack, grid, 1.5, rule),
         "dissipation": dissipation(stack, grid, rule),
+        "h1_norm": h1_norm(stack, grid),
     }
     for name, values in per_field.items():
         assert stacked[name].shape == (k,), name
@@ -277,12 +289,17 @@ def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, rule, layout, see
 def test_kernel_path_rejects_fields_of_the_wrong_shape(grid201):
     """The raw kernels read n entries per field whatever the array holds, so
     a mismatch must raise before they run.  h1_norm's operator is the
-    grid's; derivative builds its own from the last axis, so a (k, n) stack
-    is fine and only an array whose rows are too short for the stencil, or
-    that has more than two axes, can disagree with it."""
+    grid's, for one field or each row of a (k, n) stack; derivative builds
+    its own from the last axis, so a (k, n) stack is fine and only an array
+    whose rows are too short for the stencil, or that has more than two
+    axes, can disagree with it."""
     for length in (9, 199, 200, 202, 401):
+        for shape in ((length,), (2, length), (1, length)):
+            with pytest.raises(ValueError):
+                h1_norm(np.ones(shape), grid201)
+    for shape in ((201, 1), (201, 2), (2, 3, 201)):
         with pytest.raises(ValueError):
-            h1_norm(np.ones(length), grid201)
+            h1_norm(np.ones(shape), grid201)
     for shape in ((201, 1), (201, 2), (2, 3, 201)):
         for k in range(1, 6):
             with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from neckdown.evolve import VALUE_ROW_TOL
+from neckdown.evolve import VALUE_ROW_TOL, SolverConfig, step_nonlinear
 from neckdown.grid import CURVATURE_STENCIL as _BC_LEFT, Profile, h1_norm, make_grid
 from neckdown.functionals import energy
 from neckdown import linear
@@ -14,6 +14,7 @@ from neckdown.linear import (
     RESIDUAL_RTOL,
     LinearSolveError,
     assemble_operator,
+    Workspace,
     condition_estimate,
     flux_energy_report,
     step_linear,
@@ -97,8 +98,9 @@ def test_nan_mobility_is_rejected(grid201, crank_nicolson):
 
 
 def test_assembled_arrays_are_not_shared_between_calls(grid201):
-    """Boundary rows come from a cached template; mutating one call's matrix
-    and rhs (step_linear fills the rhs in place) leaves the next call intact."""
+    """A call without a workspace fills a fresh one; mutating one call's
+    matrix and rhs (step_linear fills the rhs in place) leaves the next call
+    intact."""
     g = 0.5 + np.random.default_rng(8).random(grid201.n)
     first_ab, first_rhs = assemble_operator(g, grid201, 1e-5, 1.5)
     matrix, rhs = first_ab.copy(), first_rhs.copy()
@@ -525,7 +527,9 @@ def test_step_matches_whole_array_formulation_bit_for_bit(
 ):
     """The in-place assembly and the gate's norms give the bits of the
     whole-array expressions they replaced, in every output; the solution's
-    reference is the reduced solve."""
+    reference is the reduced solve.  A workspace that already served a
+    solve with another mobility, dt and scheme gives the same bytes as a
+    fresh one."""
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
     g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
@@ -551,3 +555,33 @@ def test_step_matches_whole_array_formulation_bit_for_bit(
     assert out.values.tobytes() == x.tobytes()
     assert out.solver_residual == residual
     assert out.backward_error == residual / (a_norm * x_norm + rhs_norm)
+
+    workspace = Workspace(grid, pressure)
+    step_linear(1.0 + 0.1 * rng.standard_normal(n), grid, g[::-1] + 0.5, 2.0 * dt,
+                pressure, not crank_nicolson, workspace)
+    reused = step_linear(h, grid, g, dt, pressure, crank_nicolson, workspace)
+    assert reused.values.tobytes() == out.values.tobytes()
+    assert reused.solver_residual.hex() == out.solver_residual.hex()
+    assert reused.backward_error.hex() == out.backward_error.hex()
+
+
+def test_workspace_serves_only_its_node_count_and_pressure(grid201):
+    """A workspace holds the boundary rows of one grid and pressure; any
+    other raises before a buffer is written."""
+    workspace = Workspace(grid201, 1.5)
+    h = steady_profile(1.5, grid201)
+    g = np.ones(grid201.n)
+    band = workspace.band.copy()
+    for grid, pressure in ((grid201, 1.0), (make_grid(51), 1.5), (make_grid(203), 1.5)):
+        with pytest.raises(ValueError, match="workspace for n=201, P=1.5 cannot serve"):
+            assemble_operator(np.ones(grid.n), grid, 1e-5, pressure, workspace)
+        with pytest.raises(ValueError, match="cannot serve"):
+            step_linear(steady_profile(pressure, grid), grid, np.ones(grid.n), 1e-5, pressure,
+                        workspace=workspace)
+        cfg = SolverConfig(pressure=pressure, n=grid.n, epsilon=1e-2)
+        with pytest.raises(ValueError, match="cannot serve"):
+            step_nonlinear(steady_profile(pressure, grid), grid, cfg, workspace=workspace)
+    assert workspace.band.tobytes() == band.tobytes()
+    assert step_linear(h, grid201, g, 1e-5, 1.5, workspace=workspace).values.tobytes() == (
+        step_linear(h, grid201, g, 1e-5, 1.5).values.tobytes()
+    )

@@ -51,6 +51,20 @@ def test_every_span_target_is_an_attribute_of_its_modules():
     assert missing == []
 
 
+@pytest.mark.parametrize("name", sorted(WARM_REPORTS))
+def test_workload_warm_up_records_every_span_it_declares(name, tmp_path):
+    """An attribute can outlive its caller: a refactor that calls a function
+    past the module global the span wraps leaves the span unrecorded, not
+    missing.  So each declared span must record a call on the warm-up."""
+    spans = load_perfbench("spans")
+    workload = load_perfbench("workloads").WORKLOADS[name](neckdown, 1, {})
+    recorder = spans.Recorder()
+    with recorder.execution(0):
+        workload.warm(tmp_path)
+    assert recorder.missing == set()
+    assert sorted(set(workload.spans) - set(recorder.per_run()[0])) == []
+
+
 def test_every_workload_is_covered_by_the_warm_up_test():
     workloads = sorted(load_perfbench("workloads").WORKLOADS)
     assert workloads == sorted(WARM_REPORTS) == sorted(TWO_STEP_OUTCOMES)
