@@ -76,6 +76,11 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_final <= 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(
+                f"t_final / dt must be a finite step count, got t_final "
+                f"{self.t_final} and dt {self.dt}"
+            )
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not (0.0 < self.picard_tol <= 1e-2):

@@ -11,29 +11,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
 
 # scipy's private C++ kernels under `csr_matrix @ vector` and `@ (n, k)
 # block`: y += A x over the stored entries of each row, in storage order, with
 # csr_matvecs adding each term to all k columns of a row at once.  Called here
-# on a zeroed y, they return the bits of `op @ v` without scipy.sparse's
-# per-call dispatch, and each column of a block gets the bits of its own
-# product.  They are not public API and check no lengths; test_grid pins the
-# imports and the equalities.
+# on a zeroed y, they return the bits of `csr_matrix @ v` without
+# scipy.sparse's per-call dispatch, and each column of a block gets the bits
+# of its own product.  They are not public API and check no lengths;
+# test_grid pins the imports and the equalities.
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 MIN_NODES = 9
 
-# interior half-stencil width per derivative order (second-order centered)
-_HALF_WIDTH = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3}
+# Second-order difference weights at unit spacing (Fornberg, Math. Comp. 51,
+# 1988), every one a half-integer: order -> (centred weights on offsets
+# -h..h, one-sided rows).  One-sided row i holds node i's order + 2 weights
+# on nodes 0..order + 1, for each of the first h nodes; the last h nodes take
+# the rows reversed and times (-1)**order.
+STENCILS = {
+    1: ((-0.5, 0.0, 0.5),
+        ((-1.5, 2.0, -0.5),)),
+    2: ((1.0, -2.0, 1.0),
+        ((2.0, -5.0, 4.0, -1.0),)),
+    3: ((-0.5, 1.0, 0.0, -1.0, 0.5),
+        ((-2.5, 9.0, -12.0, 7.0, -1.5),
+         (-1.5, 5.0, -6.0, 3.0, -0.5))),
+    4: ((1.0, -4.0, 6.0, -4.0, 1.0),
+        ((3.0, -14.0, 26.0, -24.0, 11.0, -2.0),
+         (2.0, -9.0, 16.0, -14.0, 6.0, -1.0))),
+    5: ((-0.5, 2.0, -2.5, 0.0, 2.5, -2.0, 0.5),
+        ((-3.5, 20.0, -47.5, 60.0, -42.5, 16.0, -2.5),
+         (-2.5, 14.0, -32.5, 40.0, -27.5, 10.0, -1.5),
+         (-1.5, 8.0, -17.5, 20.0, -12.5, 4.0, -0.5))),
+}
 
-# one-sided 4-node second difference at unit spacing, the stencil of the
-# boundary curvature rows: d2h(-1) ~ (2 h0 - 5 h1 + 4 h2 - h3) / dx^2, and
-# mirrored, (2 h_{n-1} - 5 h_{n-2} + 4 h_{n-3} - h_{n-4}) / dx^2 at x = 1
-CURVATURE_STENCIL = np.array([2.0, -5.0, 4.0, -1.0])
+# the stencil of the boundary curvature rows: d2h(-1) ~ (2 h0 - 5 h1 + 4 h2
+# - h3) / dx^2, and mirrored, (2 h_{n-1} - 5 h_{n-2} + 4 h_{n-3} - h_{n-4}) /
+# dx^2 at x = 1
+CURVATURE_STENCIL = np.array(STENCILS[2][1][0])
 CURVATURE_STENCIL.flags.writeable = False
 
 
@@ -98,76 +115,61 @@ def make_grid(n: int) -> Grid:
     return Grid(n=n, dx=2.0 / (n - 1), nodes=nodes)
 
 
-def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights on integer offsets for the given derivative.
+@lru_cache(maxsize=32)
+def _operator(n: int, order: int, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, data) of the dimensionless order-th
+    difference operator on n nodes (unit spacing), or of the (kn, kn)
+    block-diagonal matrix with k copies of it.
 
-    Solves the small Vandermonde system sum_i w_i o_i^m = m! delta_{m,order};
-    with len(offsets) = order + 2 points the formula is second-order accurate
-    at any window position.
+    Rows take STENCILS' weights, centred inside and one-sided at the h
+    nodes next to each end, each row's entries in ascending column order.
+    Left and right edge weights mirror each other exactly, but even/odd
+    fields map to odd/even fields only to roundoff: a right-edge row adds
+    its mirrored terms in the opposite order (a storage order that added
+    them in the same order would change order-1 results).  One csr_matvec
+    over a C-ordered (k, n) stack gives every row the bits of its own
+    product.
     """
-    o = np.asarray(offsets, dtype=float)
-    m = len(o)
-    vand = np.vander(o, m, increasing=True).T
-    rhs = np.zeros(m)
-    rhs[order] = factorial(order)
-    return np.linalg.solve(vand, rhs)
-
-
-@lru_cache(maxsize=None)
-def _derivative_operator(n: int, order: int) -> sp.csr_matrix:
-    """Dimensionless k-th difference operator on n nodes (unit spacing).
-
-    Centered second-order stencils in the interior; one-sided second-order
-    stencils (order + 2 points) at the boundary-adjacent nodes.  Left and
-    right edge rows are exact mirrors of each other, and centered rows are
-    symmetrized, so even/odd fields map to exactly odd/even fields.
-    """
-    half = _HALF_WIDTH[order]
-    width = order + 2
-    if n < max(width, 2 * half + 1):
+    centre, edge = STENCILS[order]
+    width, half = order + 2, len(edge)
+    if n < width:
         raise ValueError(f"grid too small for order-{order} stencils: n={n}")
-
-    centered_offsets = np.arange(-half, half + 1)
-    w_c = _fd_weights(centered_offsets, order)
     sign = -1.0 if order % 2 else 1.0
-    w_c = 0.5 * (w_c + sign * w_c[::-1])  # enforce exact (anti)symmetry
-
-    rows, cols, vals = [], [], []
-    for i in range(half):
-        offs = np.arange(width) - i
-        w = _fd_weights(offs, order)
-        j = n - 1 - i  # mirrored right-edge row, bit-exact mirror weights
-        for w_i, o in zip(w, offs):
-            rows.append(i)
-            cols.append(i + o)
-            vals.append(w_i)
-            rows.append(j)
-            cols.append(j - o)
-            vals.append(sign * w_i)
-    for i in range(half, n - half):
-        for w_i, o in zip(w_c, centered_offsets):
-            rows.append(i)
-            cols.append(i + o)
-            vals.append(w_i)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    right = [sign * np.array(row[::-1]) for row in edge[::-1]]
+    inner = n - 2 * half
+    data = np.concatenate([*edge, np.tile(centre, inner), *right])
+    indices = np.concatenate([
+        *[np.arange(width)] * half,
+        (np.arange(half, n - half)[:, None] + np.arange(-half, half + 1)).ravel(),
+        *[np.arange(n - width, n)] * half,
+    ])
+    lengths = np.repeat([width, len(centre), width], [half, inner, half])
+    shifts = np.arange(k)[:, None]
+    indptr = np.concatenate([[0], np.cumsum(np.tile(lengths, k))])
+    return (indptr.astype(np.int32), (indices + n * shifts).ravel().astype(np.int32),
+            np.tile(data, k))
 
 
-def _apply(op: sp.csr_matrix, values: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """(op @ values) / dx**order, bit for bit, of one field (n,) through
-    csr_matvec, or of each row of a (k, n) stack through csr_matvecs on its
-    (n, k) transpose; a stack comes back as a C-ordered (k, n) array.
+def derivative(values: np.ndarray, dx: float, order: int) -> np.ndarray:
+    """order-th finite-difference derivative, on all nodes, of a
+    one-dimensional nodal field (through csr_matvec) or of each row of a
+    (k, n) stack of fields (through csr_matvecs on its (n, k) transpose; a
+    stack comes back as a C-ordered (k, n) array).
 
     The kernels read n entries per field whatever the array holds, so any
     other shape is a ValueError here, before the call.
     """
-    n = op.shape[0]
+    if order not in STENCILS:
+        raise ValueError(f"derivative order must be in 1..5, got {order}")
     shape = np.shape(values)
-    if shape == (n,):
+    n = shape[-1]
+    op = _operator(n, order)
+    if len(shape) == 1:
         out = np.zeros(n)
-        csr_matvec(n, n, op.indptr, op.indices, op.data, values, out)
-    elif len(shape) == 2 and shape[1] == n:
+        csr_matvec(n, n, *op, values, out)
+    elif len(shape) == 2:
         columns = np.zeros((n, shape[0]))
-        csr_matvecs(n, n, shape[0], op.indptr, op.indices, op.data,
+        csr_matvecs(n, n, shape[0], *op,
                     np.ascontiguousarray(np.transpose(values), dtype=float).ravel(),
                     columns.ravel())
         out = np.ascontiguousarray(columns.T)
@@ -175,14 +177,6 @@ def _apply(op: sp.csr_matrix, values: np.ndarray, dx: float, order: int) -> np.n
         raise ValueError(f"field has shape {shape}, operator has {n} nodes")
     out /= dx**order
     return out
-
-
-def derivative(values: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """k-th finite-difference derivative, on all nodes, of a one-dimensional
-    nodal field or of each row of a (k, n) stack of fields."""
-    if order not in _HALF_WIDTH:
-        raise ValueError(f"derivative order must be in 1..5, got {order}")
-    return _apply(_derivative_operator(np.shape(values)[-1], order), values, dx, order)
 
 
 def quadrature(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float | np.ndarray:
@@ -216,46 +210,30 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
 def h1_norm(values: np.ndarray, grid: Grid) -> float | np.ndarray:
     """Discrete H^1 norm sqrt(int h^2 + int |d1 h|^2) of a raw nodal field,
     trapezoid in both terms (used in Picard stopping tests), or the (k,)
-    norms of the rows of a (k, n) stack.
+    norms of the rows of a (k, n) stack; a field is a stack of one.
 
-    A stack takes one csr_matvec with the block-diagonal operator of
-    _stacked_first_difference, not _apply's csr_matvecs path, which costs
-    more than the rows it saves for small k.  The rows and their
-    derivatives share one (2k, n) buffer that is squared, summed row by row
-    and trapezoid-corrected at once, so each norm gets the bits of its row's
+    The stack takes one csr_matvec with k block-diagonal copies of the
+    order-1 operator, not derivative's csr_matvecs path, which costs more
+    than the rows it saves for small k.  The rows and their derivatives
+    share one (2k, n) buffer that is squared, summed row by row and
+    trapezoid-corrected at once, so each norm gets the bits of its row's
     own call.
     """
     n = grid.n
     values = np.asarray(values, dtype=float)
     shape = values.shape
     if shape == (n,):
-        d1 = _apply(_derivative_operator(n, 1), values, grid.dx, 1)
-        return float(np.sqrt(quadrature(values**2, grid) + quadrature(d1**2, grid)))
+        return float(h1_norm(values[None], grid)[0])
     if len(shape) != 2 or shape[1] != n:
         raise ValueError(f"field has shape {shape}, operator has {n} nodes")
     k = shape[0]
-    indptr, indices, data = _stacked_first_difference(n, k)
     terms = np.zeros((2 * k, n))
     terms[:k] = values
-    csr_matvec(k * n, k * n, indptr, indices, data, terms[:k].ravel(), terms[k:].ravel())
+    csr_matvec(k * n, k * n, *_operator(n, 1, k), terms[:k].ravel(), terms[k:].ravel())
     terms[k:] /= grid.dx
     terms *= terms
     q = quadrature(terms, grid)
     return np.sqrt(q[:k] + q[k:])
-
-
-@lru_cache(maxsize=8)
-def _stacked_first_difference(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices, data) of the (kn, kn) block-diagonal
-    matrix with k copies of the order-1 operator on n nodes.  Each row keeps
-    its entries in that operator's storage order, so one csr_matvec over a
-    C-ordered (k, n) stack gives every row the bits of its own product."""
-    op = _derivative_operator(n, 1)
-    shifts = np.arange(k)[:, None]
-    indptr = np.concatenate([[0], (op.indptr[1:] + op.indptr[-1] * shifts).ravel()])
-    indices = (op.indices + n * shifts).ravel()
-    return (indptr.astype(op.indptr.dtype), indices.astype(op.indices.dtype),
-            np.tile(op.data, k))
 
 
 def min_value(p: Profile) -> tuple[float, float]:

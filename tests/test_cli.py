@@ -578,6 +578,33 @@ def test_cli_non_finite_value_exits_two(tmp_path, capsys, flag, value, field):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["run"],
+        ["sweep", "--pressures", "1", "--workers", "1"],
+        ["sweep", "--pressures", "1", "--workers", "2"],
+        ["continuation", "--eps-schedule", "1e-2"],
+    ],
+    ids=["run", "sweep-1", "sweep-2", "continuation"],
+)
+@pytest.mark.parametrize(
+    "dt, t_final", [("1e-300", "1e300"), ("5e-324", "1")], ids=["huge", "subnormal-dt"]
+)
+def test_cli_step_count_that_is_not_finite_exits_two(tmp_path, capsys, command, dt, t_final):
+    """Finite dt and t_final whose ratio overflows leave no step count:
+    exit 2 naming both values, with nothing written.  Unchecked, the run
+    died with OverflowError on int(round(t_final / dt))."""
+    out = tmp_path / "out"
+    rc = main([*command, "--pressure", "1", "--n", "51", "--dt", dt, "--t-final", t_final,
+               "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "t_final / dt must be a finite step count" in err
+    assert f"t_final {float(t_final)!r} and dt {float(dt)!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "payload, complaint",
     [
         ([1, 2], "initial-condition file needs a JSON object"),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from neckdown import Profile, dissipation, energy, make_grid, min_value, quadrature
-from neckdown.grid import _derivative_operator, derivative, h1_norm
+from neckdown.grid import STENCILS, _operator, derivative, h1_norm
 
 
 def test_make_grid_small():
@@ -51,9 +52,10 @@ def test_profile_values_are_frozen(grid201):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_diff_exact_on_low_degree_polynomials(order):
-    # stencils are built from order+2 points (interior rows one more by
-    # symmetry), so degree <= order+1 must differentiate exactly; a coarse
-    # grid keeps the eps/dx^order roundoff amplification negligible
+    # one-sided rows span order+2 points and centred rows are exact one
+    # degree beyond their width by symmetry, so degree <= order+1
+    # differentiates exactly up to roundoff; a coarse grid keeps the
+    # eps/dx^order amplification of it negligible
     g = make_grid(21)
     x = g.nodes
     coeffs = np.arange(1.0, order + 3.0)  # degree order+1
@@ -68,6 +70,44 @@ def test_diff_exact_on_low_degree_polynomials(order):
                 fac *= m
             exact += c * fac * x ** (j - order)
     assert np.max(np.abs(got - exact)) < 1e-8 * max(1.0, np.max(np.abs(exact)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([9, 11, 21, 51]),
+    order=st.integers(1, 5),
+    polys=st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=7), min_size=1, max_size=3),
+)
+def test_diff_exact_on_integer_polynomials_at_unit_spacing(n, order, polys):
+    """STENCILS' weights are half-integers, so at dx = 1 on integer nodes an
+    integer polynomial of degree <= order + 1 differentiates with no
+    roundoff at all: == on every node, for a field and for each row of a
+    stack."""
+    x = np.arange(n) - (n - 1) // 2
+    coeffs = [np.array(c[: order + 2]) for c in polys]
+    values = np.array([np.polynomial.polynomial.polyval(x, c) for c in coeffs])
+    exact = [np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(c, order))
+             for c in coeffs]
+    for row, want in zip(values, exact):
+        assert np.array_equal(derivative(row, 1.0, order), want)
+    assert np.array_equal(derivative(values, 1.0, order), np.array(exact))
+
+
+def test_operator_rows_keep_ascending_columns_and_mirror_at_the_right_edge():
+    """Each row stores its entries in ascending column order, which fixes
+    the kernels' summation order; the last h nodes take the one-sided rows
+    reversed and times (-1)**order, and the centred rows the centre."""
+    n = 21
+    for order, (centre, edge) in STENCILS.items():
+        indptr, indices, data = _operator(n, order)
+        row = lambda i: (indices[indptr[i]:indptr[i + 1]].tolist(),
+                         data[indptr[i]:indptr[i + 1]].tolist())
+        for i, weights in enumerate(edge):
+            assert row(i) == (list(range(order + 2)), list(weights))
+            mirrored = [(-1.0) ** order * w for w in weights[::-1]]
+            assert row(n - 1 - i) == (list(range(n - order - 2, n)), mirrored)
+        h = len(centre) // 2
+        assert row(n // 2) == (list(range(n // 2 - h, n // 2 + h + 1)), list(centre))
 
 
 def test_diff_x_squared_is_two(grid201):
@@ -214,8 +254,9 @@ _SPECIAL = st.one_of(
 )
 def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials):
     """derivative and h1_norm go through scipy's private csr_matvec kernel;
-    it must give the bytes of (op @ v) / dx**k on the same cached operator.
-    This pins the private import and the summation order it relies on."""
+    it must give the bytes of (op @ v) / dx**k, op scipy's public
+    csr_matrix built from the cached operator's arrays.  This pins the
+    private import and the summation order it relies on."""
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
     if layout == "integer":
@@ -228,10 +269,11 @@ def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials
         else:
             vals = np.zeros(2 * n)[::2]
             vals[:] = dense
-    for k in range(1, 6):
-        expected = (_derivative_operator(n, k) @ vals) / grid.dx**k
+    ops = {k: scipy.sparse.csr_matrix(_operator(n, k)[::-1], shape=(n, n)) for k in range(1, 6)}
+    for k, op in ops.items():
+        expected = (op @ vals) / grid.dx**k
         assert derivative(vals, grid.dx, k).tobytes() == expected.tobytes()
-    d1 = (_derivative_operator(n, 1) @ vals) / grid.dx
+    d1 = (ops[1] @ vals) / grid.dx
     expected = float(np.sqrt(quadrature(vals**2, grid) + quadrature(d1**2, grid)))
     assert h1_norm(vals, grid).hex() == expected.hex()
 
@@ -248,10 +290,10 @@ def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials
 def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, rule, layout, seed, specials):
     """derivative, quadrature, energy and dissipation take a (k, n) stack
     through csr_matvecs and row-wise reductions, and h1_norm through one
-    csr_matvec per row; every row must get the bytes of its own 1-D call,
-    on negative nodes (the dissipation clip),
-    signed zeros, subnormals and magnitudes from 1e-8 to 1e8, whatever the
-    layout of the stack."""
+    csr_matvec over k block-diagonal copies of the order-1 operator; every
+    row must get the bytes of its own 1-D call, on negative nodes (the
+    dissipation clip), signed zeros, subnormals and magnitudes from 1e-8 to
+    1e8, whatever the layout of the stack."""
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (k, n))
