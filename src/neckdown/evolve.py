@@ -14,11 +14,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate
 
 import numpy as np
 
-from .functionals import EnergyLedger, dissipation, energy
+from .functionals import dissipation, energy
 from .grid import Grid, Profile, check_nodes, derivative, h1_norm
 from .initial import bc_residuals
 from .linear import LinearSolveError, StepResult, Workspace, flux_energy_report, step_linear
@@ -30,6 +29,14 @@ CURVATURE_ROW_TOL = 1e-6
 PINCH_TAIL_ROWS = 50         # trailing min-series rows of detect_pinch's ln h_min fit
 DECAY_FIT_MIN_POINTS = 20    # snapshots decay_rate needs in the run's second half
 BLOCK = 64                   # accepted states per evaluation of the per-step diagnostics
+
+# a run's ledger row: the columns of io.LEDGER_HEADER, in its order (the
+# start row's picard_iters is 0)
+LEDGER_DTYPE = np.dtype([
+    ("time", float), ("energy", float), ("dissipation", float),
+    ("cumulative_dissipation", float), ("h_min", float), ("x_min", float),
+    ("picard_iters", int),
+])
 
 
 class PicardConvergenceError(RuntimeError):
@@ -119,17 +126,16 @@ class RunStart:
 @dataclass
 class Trajectory:
     """A completed (possibly truncated) run with its per-step diagnostics.
-    Under flux_diagnostics, flux_reports holds one row per step, its
-    columns those of io.FLUX_HEADER; it is (0, 4) otherwise."""
+    The ledger and the (k, n) snapshot stack are read-only.  Under
+    flux_diagnostics, flux_reports holds one row per step, its columns
+    those of io.FLUX_HEADER; it is (0, 4) otherwise."""
 
     config: SolverConfig
     grid: Grid
     times: np.ndarray                 # snapshot times
-    snapshots: list[Profile]
+    snapshots: np.ndarray             # (k, n), one state per snapshot time
     snapshot_steps: np.ndarray
-    ledger: list[EnergyLedger]        # one row per step, including the start state
-    min_series: np.ndarray            # rows (t, x_m, h_m), aligned with ledger
-    picard_iters: np.ndarray          # aligned with ledger; 0 for the start row
+    ledger: np.recarray               # LEDGER_DTYPE rows, one per state from the start's
     termination: Termination
     failure_message: str | None = None
     flux_reports: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
@@ -137,8 +143,17 @@ class Trajectory:
     end: RunStart = RunStart()        # continue with run(cfg, final, start=end)
 
     @property
+    def min_series(self) -> np.ndarray:
+        """Rows (t, x_m, h_m), aligned with the ledger."""
+        return np.column_stack((self.ledger.time, self.ledger.x_min, self.ledger.h_min))
+
+    @property
+    def picard_iters(self) -> np.ndarray:
+        return self.ledger.picard_iters
+
+    @property
     def final(self) -> Profile:
-        return self.snapshots[-1]
+        return Profile(grid=self.grid, values=self.snapshots[-1], pressure=self.config.pressure)
 
 
 def _mobility(values: np.ndarray, cfg: SolverConfig, out: np.ndarray | None = None) -> np.ndarray:
@@ -248,71 +263,75 @@ class _StepDiagnostics:
     Picard count and solver residual, and trajectory builds the Trajectory
     on every exit path.
 
-    The per-step diagnostics are evaluated once per block of accepted
-    states: the ledger row (energy, dissipation, and the running integral
-    of the dissipation at each step's midpoint), the nodal minimum and,
-    under flux_diagnostics, the flux row.  states holds the state before
-    the block in row 0 and the block's accepted states after it; flush
+    The record is the ledger, one row per accepted state, and the snapshot
+    stack (the start state, the states on the output stride and the last
+    one), each allocated once per run for the most steps it can take.  The
+    per-step diagnostics are evaluated once per block of accepted states:
+    the ledger row (energy, dissipation, and the running integral of the
+    dissipation at each step's midpoint), the nodal minimum and, under
+    flux_diagnostics, the flux row.  states holds the state before the
+    block in row 0 and the block's accepted states after it; flush
     evaluates them with one call per functional on the stack, each row
-    getting the bits of its own 1-D call, then sums the integral step by
-    step, in order.  The start state is evaluated the same way, as a stack
-    of one.  The buffers are allocated once per run and reused by every
+    getting the bits of its own 1-D call, writes the block's ledger rows,
+    summing the integral step by step, in order, and copies its states on
+    the stride to the snapshot stack.  The start state is evaluated the
+    same way, as a stack of one.  The block buffers are reused by every
     block.
     """
 
-    def __init__(self, cfg: SolverConfig, h0: Profile, t: float, start: RunStart):
+    def __init__(self, cfg: SolverConfig, h0: Profile, t: float, start: RunStart,
+                 total_steps: int):
         self.cfg = cfg
         self.grid = grid = h0.grid
         self.step = start.step          # the step of the last state taken
-        self.t = t                      # and its time
-        self.cum = start.cumulative_dissipation
-        self.filled = 0
+        every = cfg.output_every
+        self.ledger = np.empty(total_steps - start.step + 1, LEDGER_DTYPE)
+        self.snapshots = np.empty((total_steps // every - start.step // every + 2, grid.n))
+        self.snap_steps = np.empty(len(self.snapshots), dtype=int)
+        self.rows = self.snaps = self.filled = 0    # ledger, snapshot and block rows taken
         self.states = np.empty((BLOCK + 1, grid.n))
         self.states[0] = h0.values
-        self.times: list[float] = []
+        self.times: list[float] = []    # the block's times and Picard counts
+        self.iters: list[int] = []
         self.midpoints = np.empty((BLOCK, grid.n))
-        self.ledger: list[EnergyLedger] = []
-        self.mins: list[tuple[float, float, float]] = []
         self.flux_rows = [np.empty((0, 4))]
-        self.iters = [0]
         self.max_residual = 0.0
-        self.snapshots, self.snap_times, self.snap_steps = [], [], []
-        self._evaluate(self.states[:1], [t], [self.cum])
-        self._snapshot(h0.values)
-
-    def _snapshot(self, values: np.ndarray) -> None:
-        self.snapshots.append(Profile(grid=self.grid, values=values, pressure=self.cfg.pressure))
-        self.snap_times.append(self.t)
-        self.snap_steps.append(self.step)
+        start_row = self._evaluate(self.states[:1], [t], [0])
+        start_row["cumulative_dissipation"] = start.cumulative_dissipation
+        self._keep(self.states[:1], [start.step])
 
     def push(self, values: np.ndarray, t: float, iters: int, solver_residual: float) -> None:
         """Take the next accepted state, stamped t; a full block is
         evaluated at once."""
         self.step += 1
-        self.t = t
-        self.iters.append(iters)
         self.max_residual = max(self.max_residual, solver_residual)
         self.filled += 1
         self.states[self.filled] = values
         self.times.append(t)
-        if self.step % self.cfg.output_every == 0:
-            self._snapshot(values)
+        self.iters.append(iters)
         if self.filled == BLOCK:
             self.flush()
 
-    def _evaluate(self, states: np.ndarray, times: list[float], cums: list[float]) -> None:
-        """Ledger and minimum rows of a stack of states."""
+    def _evaluate(self, states: np.ndarray, times: list[float], iters: list[int]) -> np.ndarray:
+        """Fill the next ledger rows of a stack of states, all columns but
+        the dissipation integral, and return them."""
         cfg, grid, rule = self.cfg, self.grid, self.cfg.rule
-        energies = energy(states, grid, cfg.pressure, rule).tolist()
-        dissipations = dissipation(states, grid, rule).tolist()
+        rows = self.ledger[self.rows : self.rows + len(states)]
+        self.rows += len(states)
         where = np.argmin(states, axis=1)
-        x_min = grid.nodes[where].tolist()
-        h_min = states[np.arange(len(states)), where].tolist()
-        for t, e, d, cum, x_m, h_m in zip(times, energies, dissipations, cums, x_min, h_min):
-            self.ledger.append(
-                EnergyLedger(time=t, energy=e, dissipation=d, cumulative_dissipation=cum)
-            )
-            self.mins.append((t, x_m, h_m))
+        rows["time"] = times
+        rows["energy"] = energy(states, grid, cfg.pressure, rule)
+        rows["dissipation"] = dissipation(states, grid, rule)
+        rows["h_min"] = states[np.arange(len(states)), where]
+        rows["x_min"] = grid.nodes[where]
+        rows["picard_iters"] = iters
+        return rows
+
+    def _keep(self, states: np.ndarray, steps) -> None:
+        """Copy a stack of states, taken at steps, to the snapshot stack."""
+        j, k = self.snaps, self.snaps + len(states)
+        self.snapshots[j:k], self.snap_steps[j:k] = states, steps
+        self.snaps = k
 
     def flush(self) -> None:
         """Evaluate the states taken since the last flush."""
@@ -324,38 +343,45 @@ class _StepDiagnostics:
         midpoints = self.midpoints[:m]
         np.add(block[:-1], block[1:], out=midpoints)
         midpoints *= 0.5
-        increments = (cfg.dt * dissipation(midpoints, grid, cfg.rule)).tolist()
-        cums = list(accumulate(increments, initial=self.cum))[1:]
-        self._evaluate(block[1:], self.times, cums)
+        increments = cfg.dt * dissipation(midpoints, grid, cfg.rule)
+        self._evaluate(block[1:], self.times, self.iters)
+        # the row before the block holds the integral the block continues
+        cum = self.ledger["cumulative_dissipation"][self.rows - m - 1 : self.rows]
+        cum[1:] = increments
+        np.add.accumulate(cum, out=cum)
         if cfg.flux_diagnostics:
             self.flux_rows.append(
                 flux_energy_report(block, _mobility(block, cfg), grid, cfg.dt, self.times)
             )
-        self.cum = cums[-1]
+        first = self.step - m + 1       # the step of block row 1
+        on = slice(-first % cfg.output_every, m, cfg.output_every)
+        self._keep(block[1:][on], range(first + on.start, self.step + 1, cfg.output_every))
         self.states[0] = self.states[m]
-        self.times = []
+        self.times, self.iters = [], []
         self.filled = 0
 
     def trajectory(self, termination: Termination, failure_message: str | None,
                    history: tuple[np.ndarray, ...]) -> Trajectory:
         """The run so far, with the last state as its final snapshot."""
         self.flush()
-        if self.snap_steps[-1] != self.step:
-            self._snapshot(self.states[0])
+        if self.snap_steps[self.snaps - 1] != self.step:
+            self._keep(self.states[:1], [self.step])
+        ledger = self.ledger[: self.rows].view(np.recarray)
+        snapshots, steps = self.snapshots[: self.snaps], self.snap_steps[: self.snaps]
+        ledger.flags.writeable = snapshots.flags.writeable = False
         return Trajectory(
             config=self.cfg,
             grid=self.grid,
-            times=np.asarray(self.snap_times),
-            snapshots=self.snapshots,
-            snapshot_steps=np.asarray(self.snap_steps, dtype=int),
-            ledger=self.ledger,
-            min_series=np.asarray(self.mins),
-            picard_iters=np.asarray(self.iters, dtype=int),
+            times=ledger.time[steps - steps[0]],
+            snapshots=snapshots,
+            snapshot_steps=steps,
+            ledger=ledger,
             termination=termination,
             failure_message=failure_message,
             flux_reports=np.concatenate(self.flux_rows),
             max_solver_residual=self.max_residual,
-            end=RunStart(step=self.step, cumulative_dissipation=self.cum, history=history),
+            end=RunStart(step=self.step, history=history,
+                         cumulative_dissipation=float(ledger.cumulative_dissipation[-1])),
         )
 
 
@@ -367,7 +393,9 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     stamped with time k * dt either way.  A start past t_final is an error;
     one at t_final takes no step.  The step loop holds the state as an
     array and keeps only what the next step reads; each accepted state goes
-    to the run's record once, with its time.
+    to the run's record once, with its time.  The record is sized for
+    every step up to t_final; one that does not fit in memory is a
+    ValueError before the first step.
     """
     _validate_initial(h0, cfg, fresh=start is None)
     grid = h0.grid
@@ -379,7 +407,11 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     if start.step > total_steps:
         raise ValueError("restart point is already past the configured t_final")
 
-    record = _StepDiagnostics(cfg, h0, start.step * cfg.dt, start)
+    try:
+        record = _StepDiagnostics(cfg, h0, start.step * cfg.dt, start, total_steps)
+    except MemoryError:
+        raise ValueError(f"a record of {total_steps - start.step} steps does not fit "
+                         "in memory; lower t_final / dt") from None
     workspace = Workspace(grid, cfg.pressure)
     h = h0.values
     scale = None                # H^1 norm of h, once a step has taken it
@@ -451,19 +483,11 @@ def epsilon_continuation(
 
     pairs = []
     for hi, lo in zip(trajectories, trajectories[1:]):
-        steps_hi = {int(s): i for i, s in enumerate(hi.snapshot_steps)}
-        common = [
-            (steps_hi[int(s)], j)
-            for j, s in enumerate(lo.snapshot_steps)
-            if int(s) in steps_hi
-        ]
-        times = np.array([hi.times[i] for i, _ in common])
-        diffs = np.array(
-            [
-                float(np.max(np.abs(hi.snapshots[i].values - lo.snapshots[j].values)))
-                for i, j in common
-            ]
+        _, rows_hi, rows_lo = np.intersect1d(
+            hi.snapshot_steps, lo.snapshot_steps, assume_unique=True, return_indices=True
         )
+        times = hi.times[rows_hi]
+        diffs = np.abs(hi.snapshots[rows_hi] - lo.snapshots[rows_lo]).max(axis=1)
         pairs.append(
             EpsilonPair(
                 eps_high=hi.config.epsilon,
@@ -496,9 +520,7 @@ def detect_pinch(traj: Trajectory) -> PinchReport:
     contact rate; no finite-vs-infinite-time claim is made).
     """
     floor = traj.config.pinch_floor
-    t = traj.min_series[:, 0]
-    x_m = traj.min_series[:, 1]
-    h_m = traj.min_series[:, 2]
+    t, x_m, h_m = traj.ledger.time, traj.ledger.x_min, traj.ledger.h_min
     crossed = np.nonzero(h_m <= floor)[0] if floor > 0 else np.array([], dtype=int)
 
     tail_t, tail_h = t[-PINCH_TAIL_ROWS:], h_m[-PINCH_TAIL_ROWS:]
@@ -543,9 +565,9 @@ def decay_rate(traj: Trajectory) -> DecayFit:
         )
     grid = traj.grid
     target = steady_profile(cfg.pressure, grid)
-    dist = np.array(
-        [h1_norm(s.values - target, grid) for s in traj.snapshots]
-    )
+    # a norm per row: one stacked call would cache k block copies of the
+    # derivative operator in grid._operator
+    dist = np.array([h1_norm(s - target, grid) for s in traj.snapshots])
     scale = h1_norm(target, grid)
     if dist[-1] <= 1e-12 * scale:
         raise ValueError("distance at roundoff; fit meaningless")
@@ -597,7 +619,7 @@ def relaxation_check(traj: Trajectory, delta_loc: float | None = None) -> RelaxR
         delta_loc = 0.1 * float(np.max(target))
     elif delta_loc <= 0.0:
         raise ValueError(f"delta_loc must be positive, got {delta_loc}")
-    final = traj.final.values
+    final = traj.snapshots[-1]
     diff_vals = final - target
 
     h1_distance = h1_norm(diff_vals, grid)
@@ -607,19 +629,13 @@ def relaxation_check(traj: Trajectory, delta_loc: float | None = None) -> RelaxR
     fields = [diff_vals] + [derivative(diff_vals, grid.dx, j) for j in range(1, 4)]
     for f in fields:
         integrand += f * f
+    # the contiguous runs [i, j) of the mask, each integrated on its own
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
     total = 0.0
-    i = 0
-    while i < grid.n:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid.n and mask[j + 1]:
-            j += 1
-        if j > i:
-            seg = integrand[i : j + 1]
+    for i, j in zip(edges[::2], edges[1::2]):
+        if j - i > 1:
+            seg = integrand[i:j]
             total += grid.dx * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
-        i = j + 1
     return RelaxReport(
         h1_distance=float(h1_distance),
         h3_local_distance=float(np.sqrt(total)),

@@ -8,21 +8,9 @@ form) live with the invariants in verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Grid, derivative, quadrature
-
-
-@dataclass(frozen=True, slots=True)
-class EnergyLedger:
-    """One per-step ledger row: energy, instantaneous and accumulated dissipation."""
-
-    time: float
-    energy: float
-    dissipation: float
-    cumulative_dissipation: float
 
 
 def energy(

@@ -108,16 +108,11 @@ class RunManifest:
 
 
 def write_ledger_csv(traj: Trajectory, path: Path) -> None:
-    rows = (
-        (r.time, r.energy, r.dissipation, r.cumulative_dissipation, m[2], m[1], iters)
-        for r, m, iters in zip(traj.ledger, traj.min_series, traj.picard_iters)
-    )
-    path.write_text("\n".join([LEDGER_HEADER, *map(_g17_row, rows)]) + "\n")
+    path.write_text("\n".join([LEDGER_HEADER, *map(_g17_row, traj.ledger.tolist())]) + "\n")
 
 
 def write_flux_csv(traj: Trajectory, path: Path) -> None:
-    rows = traj.flux_reports.tolist()
-    path.write_text("\n".join([FLUX_HEADER, *map(_g17_row, rows)]) + "\n")
+    path.write_text("\n".join([FLUX_HEADER, *map(_g17_row, traj.flux_reports.tolist())]) + "\n")
 
 
 def write_snapshots_jsonl(traj: Trajectory, path: Path) -> None:
@@ -125,7 +120,7 @@ def write_snapshots_jsonl(traj: Trajectory, path: Path) -> None:
         for t, step, snap in zip(traj.times, traj.snapshot_steps, traj.snapshots):
             fh.write(
                 '{"t": %s, "step": %d, "values": [%s]}\n'
-                % (_g17(t), int(step), _g17_row(snap.values, ", "))
+                % (_g17(t), int(step), _g17_row(snap, ", "))
             )
 
 
@@ -175,16 +170,16 @@ def _jsonable(obj):
 
 def build_report(traj: Trajectory) -> dict:
     """Summary dict with pinch / decay / relaxation sub-reports."""
-    cfg = traj.config
+    cfg, ledger = traj.config, traj.ledger
     pinch = detect_pinch(traj)
     report = {
         "termination": traj.termination.value,
         "failure_message": traj.failure_message,
         "steps": int(traj.snapshot_steps[-1]),
-        "t_end": float(traj.ledger[-1].time),
-        "energy_initial": traj.ledger[0].energy,
-        "energy_final": traj.ledger[-1].energy,
-        "cumulative_dissipation": traj.ledger[-1].cumulative_dissipation,
+        "t_end": ledger.time[-1],
+        "energy_initial": ledger.energy[0],
+        "energy_final": ledger.energy[-1],
+        "cumulative_dissipation": ledger.cumulative_dissipation[-1],
         "max_solver_residual": traj.max_solver_residual,
         "picard_iters_max": int(traj.picard_iters.max()),
         "picard_iters_mean": float(traj.picard_iters[1:].mean())
@@ -231,7 +226,7 @@ def write_checkpoint(traj: Trajectory, path: Path) -> None:
         "config": _jsonable(config_to_dict(traj.config)),
         "step": end.step,
         "cumulative_dissipation": end.cumulative_dissipation,
-        "values": traj.final.values.tolist(),
+        "values": traj.snapshots[-1].tolist(),
         "history": [row.tolist() for row in end.history],
     }
     _write_atomic(path, json.dumps(state) + "\n")

@@ -62,7 +62,7 @@ def energy_increments(traj: Trajectory) -> tuple[np.ndarray, float]:
     """Step-to-step changes of the ledger energy, and its total drop
     E(start) - E(end).  The energy dissipates, so no increment is positive
     beyond roundoff."""
-    energies = np.array([row.energy for row in traj.ledger])
+    energies = traj.ledger.energy
     return np.diff(energies), energies[0] - energies[-1]
 
 
@@ -198,8 +198,7 @@ def log_min_derivative_check(traj: Trajectory) -> MinLogSlopeSeries:
         t0, t1 = traj.times[j], traj.times[j + 1]
         if t1 <= t0:
             continue
-        v0 = traj.snapshots[j].values
-        v1 = traj.snapshots[j + 1].values
+        v0, v1 = traj.snapshots[j], traj.snapshots[j + 1]
         m0 = float(np.min(v0))
         m1 = float(np.min(v1))
         if m0 <= 0 or m1 <= 0:
@@ -259,8 +258,7 @@ def weak_residual(
     grid = traj.grid
     rule = traj.config.rule
     integrand = np.empty(len(times))
-    for j, (t, snap) in enumerate(zip(times, traj.snapshots)):
-        h = snap.values
+    for j, (t, h) in enumerate(zip(times, traj.snapshots)):
         d1 = derivative(h, grid.dx, 1)
         d2 = derivative(h, grid.dx, 2)
         phi_t, phi_xx = _bump_rates(grid.nodes, t, centre, radii)
@@ -309,7 +307,7 @@ def check_energy_monotonicity() -> CheckResult:
     traj = run(cfg, _perturbed(1.5))
     rises, drop = energy_increments(traj)
     worst = float(rises.max()) if len(rises) else 0.0
-    e_start, e_end = traj.ledger[0].energy, traj.ledger[-1].energy
+    e_start, e_end = traj.ledger.energy[[0, -1]]
     floor = steady_energy(1.5)
     ok = (
         traj.termination is Termination.REACHED_T_FINAL
@@ -341,7 +339,7 @@ def check_steady_fixed_point() -> CheckResult:
 def check_symmetry_preservation() -> CheckResult:
     cfg = SolverConfig(pressure=1.0, n=201, dt=1e-4, t_final=0.02, epsilon=1e-3)
     traj = run(cfg, _perturbed(1.0))
-    asym = symmetry_defect(traj.final.values)
+    asym = symmetry_defect(traj.snapshots[-1])
     return CheckResult("even-symmetry", bool(asym <= 1e-9), f"sup |h(x) - h(-x)| = "
                        f"{asym:.2e} after {traj.snapshot_steps[-1]} steps")
 

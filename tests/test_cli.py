@@ -89,7 +89,7 @@ def _snapshot_trajectory(snapshots, times=None, steps=None):
     return SimpleNamespace(
         times=np.arange(count) * 1e-4 if times is None else times,
         snapshot_steps=np.arange(count) if steps is None else steps,
-        snapshots=[SimpleNamespace(values=values) for values in snapshots],
+        snapshots=np.array(snapshots),
     )
 
 
@@ -146,7 +146,7 @@ def test_reading_snapshots_peaks_below_twice_the_arrays(tmp_path):
     below twice the arrays' own bytes."""
     rng = np.random.default_rng(0)
     path = tmp_path / "snapshots.jsonl"
-    write_snapshots_jsonl(_snapshot_trajectory(list(rng.standard_normal((200, 801)))), path)
+    write_snapshots_jsonl(_snapshot_trajectory(rng.standard_normal((200, 801))), path)
     tracemalloc.start()
     try:
         rows = read_snapshots_jsonl(path)
@@ -219,16 +219,25 @@ def test_execute_run_writes_parseable_artifacts(tmp_path):
     assert float(first[1]) == traj.ledger[0].energy     # %.17g round-trips
     assert float(first[4]) == traj.min_series[0, 2]
     assert int(first[6]) == 0
-    # every field of every row parses back to the trajectory's double
-    expected = np.array(
-        [
-            (r.time, r.energy, r.dissipation, r.cumulative_dissipation, m[2], m[1], it)
-            for r, m, it in zip(traj.ledger, traj.min_series, traj.picard_iters)
-        ]
+    # the record's columns are the CSV's, one to one and in order, and each
+    # line is its record row as the writer formats rows
+    renamed = {"t": "time", "cum_dissipation": "cumulative_dissipation"}
+    assert traj.ledger.dtype.names == tuple(
+        renamed.get(column, column) for column in LEDGER_HEADER.split(",")
     )
+    assert ledger_lines[1:] == [_g17_row(row) for row in traj.ledger]
+    # every field of every row parses back to the trajectory's double
+    expected = np.column_stack([traj.ledger[name] for name in traj.ledger.dtype.names])
     parsed = np.array([[float(v) for v in line.split(",")] for line in ledger_lines[1:]])
     assert parsed.tobytes() == expected.tobytes()
     assert all(line.rpartition(",")[2].isdigit() for line in ledger_lines[1:])
+    # the record is read-only, as Profile values are
+    with pytest.raises(ValueError, match="read-only"):
+        traj.ledger.energy[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.ledger[-1].picard_iters = 0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.snapshots[0, 0] = 0.0
 
     rows = read_snapshots_jsonl(manifest.snapshots_path)
     assert len(rows) == len(traj.snapshots)

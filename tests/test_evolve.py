@@ -1,6 +1,7 @@
 """Tests for the nonlinear stepper, run loop, and trajectory diagnostics."""
 
-from dataclasses import astuple, replace
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from neckdown.evolve import (
     epsilon_continuation,
     relaxation_check,
     run,
+    _StepDiagnostics,
     _mobility,
     step_nonlinear,
 )
@@ -189,12 +191,20 @@ def test_run_rejects_incompatible_initial_data(grid):
         run(SolverConfig(pressure=8.0, dt=1e-4, t_final=0.01, epsilon=1e-2), deep)
 
 
-def test_run_rejects_bad_schedules(grid, steady_p1):
+def test_run_rejects_bad_schedules(grid, steady_p1, monkeypatch):
     with pytest.raises(ValueError, match="at least one step"):
         run(SolverConfig(pressure=1.0, dt=1e-4, t_final=1e-9), steady_p1)
     cfg = SolverConfig(pressure=1.0, dt=1e-4, t_final=0.02, epsilon=1e-2)
     with pytest.raises(ValueError, match="already past"):
         run(cfg, steady_p1, start=RunStart(step=300))
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    # the record is sized for every step up to t_final, before the first
+    monkeypatch.setattr(_StepDiagnostics, "__init__", out_of_memory)
+    with pytest.raises(ValueError, match="record of 200 steps does not fit in memory"):
+        run(cfg, steady_p1)
 
 
 def test_restart_at_t_final_takes_no_step(steady_p1):
@@ -233,7 +243,7 @@ def test_run_energy_ledger_is_monotone_and_balanced(short_traj):
 
 def test_steady_run_stays_put(steady_traj, steady_p1):
     drift = max(
-        float(np.max(np.abs(s.values - steady_p1.values)))
+        float(np.max(np.abs(s - steady_p1.values)))
         for s in steady_traj.snapshots
     )
     assert drift < 1e-9
@@ -276,7 +286,8 @@ def test_restart_matches_unsplit_run_exactly(short_traj):
     unsplit run bit for bit)."""
     traj = short_traj
     cfg = traj.config
-    first = run(replace(cfg, t_final=100 * cfg.dt), traj.snapshots[0])
+    h0 = Profile(grid=traj.grid, values=traj.snapshots[0], pressure=cfg.pressure)
+    first = run(replace(cfg, t_final=100 * cfg.dt), h0)
     assert first.snapshot_steps[-1] == 100
     assert first.end.step == 100
     assert len(first.end.history) == 2
@@ -320,7 +331,7 @@ def test_even_data_stays_even(n, pressure, epsilon, log_dt, amplitude, coeffs):
     traj = run(cfg, h0)
     assert traj.termination is Termination.REACHED_T_FINAL
     assert len(traj.snapshots) == 6
-    assert max(symmetry_defect(s.values) for s in traj.snapshots) <= 1e-9
+    assert max(symmetry_defect(s) for s in traj.snapshots) <= 1e-9
 
 
 def whole_and_resumed(split, pressure, epsilon, dt):
@@ -375,9 +386,8 @@ def per_step_diagnostics(traj: Trajectory, cum: float = 0.0) -> list[np.ndarray]
     assert steps == list(range(steps[0], steps[-1] + 1))
     ledger, mins, flux = [], [], [np.empty((0, 4))]
     prev = None
-    for k, state in zip(steps, traj.snapshots):
+    for k, h in zip(steps, traj.snapshots):
         t = k * cfg.dt
-        h = state.values
         if prev is not None:
             cum += cfg.dt * dissipation(0.5 * (prev + h), grid, cfg.rule)
             if cfg.flux_diagnostics:
@@ -386,15 +396,17 @@ def per_step_diagnostics(traj: Trajectory, cum: float = 0.0) -> list[np.ndarray]
         ledger.append(
             (t, energy(h, grid, cfg.pressure, cfg.rule), dissipation(h, grid, cfg.rule), cum)
         )
-        mins.append((t, *min_value(state)))
+        mins.append((t, *min_value(Profile(grid=grid, values=h, pressure=cfg.pressure))))
         prev = h
     return [np.array(ledger), np.array(mins), np.concatenate(flux)]
 
 
 def diagnostics(traj: Trajectory) -> list[np.ndarray]:
-    """traj's ledger, minimum series and flux reports as arrays of rows."""
+    """traj's ledger (the columns per_step_diagnostics recomputes), minimum
+    series and flux reports as arrays of rows."""
+    columns = ("time", "energy", "dissipation", "cumulative_dissipation")
     return [
-        np.array([astuple(r) for r in traj.ledger]),
+        np.column_stack([traj.ledger[c] for c in columns]),
         traj.min_series,
         traj.flux_reports,
     ]
@@ -478,6 +490,29 @@ def test_restored_state_need_not_be_positive(grid):
             start=RunStart(step=10))
 
 
+def test_run_record_costs_under_100_bytes_per_step():
+    """A run keeps its record as arrays: between runs of 1000 and 3000 steps
+    (n = 9, P = 1, dt = 1e-4, snapshots every 100 steps), the bytes still
+    traced once run returns, its trajectory held, grow by under 100 per
+    step: seven 8-byte ledger columns take 56, where a Python object per
+    row would cost several times that."""
+    grid = make_grid(9)
+    h0 = Profile(grid=grid, values=ic_steady_perturbed_poly(1.0, grid, 0.05), pressure=1.0)
+
+    def retained(steps: int) -> int:
+        cfg = SolverConfig(pressure=1.0, n=9, dt=1e-4, t_final=steps * 1e-4)
+        tracemalloc.start()
+        try:
+            traj = run(cfg, h0)     # held while the traced bytes are read
+            assert len(traj.ledger) == steps + 1
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    retained(10)                # fills the operator caches outside the count
+    assert (retained(3000) - retained(1000)) / 2000 < 100
+
+
 def test_relax_run_takes_one_solve_per_step(grid):
     """The predictor makes the first Picard iterate the accepted one on the
     relax benchmark's run (P = 1, n = 201, eps = 0, dt = 1e-5, 2000 steps):
@@ -508,7 +543,7 @@ def test_pinch_run_stops_near_lower_contact_point(pinch_traj):
     final = traj.final.values
     i = int(np.flatnonzero(traj.grid.nodes == report.x_pinch)[0])
     assert abs(final[i] - final[-1 - i]) <= 1e-8 * final[i]
-    assert max(symmetry_defect(s.values) for s in traj.snapshots) <= 1e-9
+    assert max(symmetry_defect(s) for s in traj.snapshots) <= 1e-9
     assert report.log_slope < 0.0
     tail = traj.min_series[-50:]
     assert report.log_slope == np.polyfit(tail[:, 0], np.log(tail[:, 2]), 1)[0]
@@ -613,8 +648,6 @@ def test_log_min_identity_improves_with_snapshot_density(grid):
             snapshots=traj.snapshots[::stride],
             snapshot_steps=traj.snapshot_steps[::stride],
             ledger=traj.ledger,
-            min_series=traj.min_series,
-            picard_iters=traj.picard_iters,
             termination=traj.termination,
         )
         series = log_min_derivative_check(sub)
@@ -632,8 +665,6 @@ def test_log_min_check_needs_two_snapshots(steady_traj):
         snapshots=steady_traj.snapshots[:1],
         snapshot_steps=steady_traj.snapshot_steps[:1],
         ledger=steady_traj.ledger,
-        min_series=steady_traj.min_series,
-        picard_iters=steady_traj.picard_iters,
         termination=steady_traj.termination,
     )
     with pytest.raises(ValueError, match="two snapshots"):
@@ -665,11 +696,9 @@ def test_decay_fit_guards(grid, steady_traj, pinch_traj, steady_p1):
         config=steady_traj.config,
         grid=grid,
         times=np.linspace(0.0, 1.0, 40),
-        snapshots=[steady_p1] * 40,
+        snapshots=np.tile(steady_p1.values, (40, 1)),
         snapshot_steps=np.arange(40),
         ledger=steady_traj.ledger,
-        min_series=steady_traj.min_series,
-        picard_iters=steady_traj.picard_iters,
         termination=Termination.REACHED_T_FINAL,
     )
     with pytest.raises(ValueError, match="roundoff"):
