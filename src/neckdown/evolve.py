@@ -126,9 +126,9 @@ class RunStart:
 @dataclass
 class Trajectory:
     """A completed (possibly truncated) run with its per-step diagnostics.
-    The ledger and the (k, n) snapshot stack are read-only.  Under
-    flux_diagnostics, flux_reports holds one row per step, its columns
-    those of io.FLUX_HEADER; it is (0, 4) otherwise."""
+    The ledger, the (k, n) snapshot stack and the flux reports are
+    read-only.  Under flux_diagnostics, flux_reports holds one row per step,
+    its columns those of io.FLUX_HEADER; it is (0, 4) otherwise."""
 
     config: SolverConfig
     grid: Grid
@@ -258,43 +258,60 @@ def _validate_initial(h0: Profile, cfg: SolverConfig, fresh: bool) -> None:
         raise ValueError("initial data must be strictly positive")
 
 
+def _room(table: np.ndarray, rows: int) -> np.ndarray:
+    """table when it holds at least rows rows, else a copy with room for
+    twice its rows or for rows, whichever is more.  Growing only copies
+    rows, so every value keeps its bits; an allocation that fails is a
+    ValueError."""
+    if rows <= len(table):
+        return table
+    try:
+        grown = np.empty((max(2 * len(table), rows), *table.shape[1:]), table.dtype)
+    except MemoryError:
+        raise ValueError(f"a record of {rows} rows does not fit in memory; "
+                         "lower t_final / dt") from None
+    grown[: len(table)] = table
+    return grown
+
+
 class _StepDiagnostics:
     """A run's one record: each accepted state enters once, with its time,
     Picard count and solver residual, and trajectory builds the Trajectory
     on every exit path.
 
-    The record is the ledger, one row per accepted state, and the snapshot
-    stack (the start state, the states on the output stride and the last
-    one), each allocated once per run for the most steps it can take.  The
-    per-step diagnostics are evaluated once per block of accepted states:
-    the ledger row (energy, dissipation, and the running integral of the
-    dissipation at each step's midpoint), the nodal minimum and, under
-    flux_diagnostics, the flux row.  states holds the state before the
-    block in row 0 and the block's accepted states after it; flush
-    evaluates them with one call per functional on the stack, each row
-    getting the bits of its own 1-D call, writes the block's ledger rows,
-    summing the integral step by step, in order, and copies its states on
-    the stride to the snapshot stack.  The start state is evaluated the
-    same way, as a stack of one.  The block buffers are reused by every
-    block.
+    The record is four tables: the ledger, one row per accepted state, the
+    snapshot stack (the start state, the states on the output stride and
+    the last one) with its steps, and the flux table, one row per step under
+    flux_diagnostics.  Each starts with room for one block and grows with
+    the run through _room, so no step bound is needed before the first
+    step.  The per-step diagnostics are evaluated once per block of
+    accepted states: the ledger row (energy, dissipation, and the running
+    integral of the dissipation at each step's midpoint), the nodal minimum
+    and, under flux_diagnostics, the flux row.  states holds the state
+    before the block in row 0 and the block's accepted states after it;
+    flush evaluates them with one call per functional on the stack, each row
+    getting the bits of its own 1-D call, writes the block's ledger and flux
+    rows, summing the integral step by step, in order, and copies its
+    states on the stride to the snapshot stack.  The start state is
+    evaluated the same way, as a stack of one.  The block buffers are
+    reused by every block.
     """
 
-    def __init__(self, cfg: SolverConfig, h0: Profile, t: float, start: RunStart,
-                 total_steps: int):
+    def __init__(self, cfg: SolverConfig, h0: Profile, t: float, start: RunStart):
         self.cfg = cfg
         self.grid = grid = h0.grid
         self.step = start.step          # the step of the last state taken
-        every = cfg.output_every
-        self.ledger = np.empty(total_steps - start.step + 1, LEDGER_DTYPE)
-        self.snapshots = np.empty((total_steps // every - start.step // every + 2, grid.n))
-        self.snap_steps = np.empty(len(self.snapshots), dtype=int)
-        self.rows = self.snaps = self.filled = 0    # ledger, snapshot and block rows taken
+        self.ledger = np.empty(BLOCK + 1, LEDGER_DTYPE)
+        self.snapshots = np.empty((BLOCK + 1, grid.n))
+        self.snap_steps = np.empty(BLOCK + 1, dtype=int)
+        self.flux = np.empty((BLOCK + 1, 4))
+        # ledger, snapshot, flux and block rows taken
+        self.rows = self.snaps = self.fluxes = self.filled = 0
         self.states = np.empty((BLOCK + 1, grid.n))
         self.states[0] = h0.values
         self.times: list[float] = []    # the block's times and Picard counts
         self.iters: list[int] = []
         self.midpoints = np.empty((BLOCK, grid.n))
-        self.flux_rows = [np.empty((0, 4))]
         self.max_residual = 0.0
         start_row = self._evaluate(self.states[:1], [t], [0])
         start_row["cumulative_dissipation"] = start.cumulative_dissipation
@@ -316,6 +333,7 @@ class _StepDiagnostics:
         """Fill the next ledger rows of a stack of states, all columns but
         the dissipation integral, and return them."""
         cfg, grid, rule = self.cfg, self.grid, self.cfg.rule
+        self.ledger = _room(self.ledger, self.rows + len(states))
         rows = self.ledger[self.rows : self.rows + len(states)]
         self.rows += len(states)
         where = np.argmin(states, axis=1)
@@ -330,6 +348,7 @@ class _StepDiagnostics:
     def _keep(self, states: np.ndarray, steps) -> None:
         """Copy a stack of states, taken at steps, to the snapshot stack."""
         j, k = self.snaps, self.snaps + len(states)
+        self.snapshots, self.snap_steps = _room(self.snapshots, k), _room(self.snap_steps, k)
         self.snapshots[j:k], self.snap_steps[j:k] = states, steps
         self.snaps = k
 
@@ -350,9 +369,10 @@ class _StepDiagnostics:
         cum[1:] = increments
         np.add.accumulate(cum, out=cum)
         if cfg.flux_diagnostics:
-            self.flux_rows.append(
-                flux_energy_report(block, _mobility(block, cfg), grid, cfg.dt, self.times)
-            )
+            self.flux = _room(self.flux, self.fluxes + m)
+            self.flux[self.fluxes : self.fluxes + m] = flux_energy_report(
+                block, _mobility(block, cfg), grid, cfg.dt, self.times)
+            self.fluxes += m
         first = self.step - m + 1       # the step of block row 1
         on = slice(-first % cfg.output_every, m, cfg.output_every)
         self._keep(block[1:][on], range(first + on.start, self.step + 1, cfg.output_every))
@@ -368,7 +388,8 @@ class _StepDiagnostics:
             self._keep(self.states[:1], [self.step])
         ledger = self.ledger[: self.rows].view(np.recarray)
         snapshots, steps = self.snapshots[: self.snaps], self.snap_steps[: self.snaps]
-        ledger.flags.writeable = snapshots.flags.writeable = False
+        flux = self.flux[: self.fluxes]
+        ledger.flags.writeable = snapshots.flags.writeable = flux.flags.writeable = False
         return Trajectory(
             config=self.cfg,
             grid=self.grid,
@@ -378,7 +399,7 @@ class _StepDiagnostics:
             ledger=ledger,
             termination=termination,
             failure_message=failure_message,
-            flux_reports=np.concatenate(self.flux_rows),
+            flux_reports=flux,
             max_solver_residual=self.max_residual,
             end=RunStart(step=self.step, history=history,
                          cumulative_dissipation=float(ledger.cumulative_dissipation[-1])),
@@ -393,9 +414,9 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     stamped with time k * dt either way.  A start past t_final is an error;
     one at t_final takes no step.  The step loop holds the state as an
     array and keeps only what the next step reads; each accepted state goes
-    to the run's record once, with its time.  The record is sized for
-    every step up to t_final; one that does not fit in memory is a
-    ValueError before the first step.
+    to the run's record once, with its time.  The record grows with the
+    run, so t_final may lie far past a pinch; a record that outgrows memory
+    is a ValueError.
     """
     _validate_initial(h0, cfg, fresh=start is None)
     grid = h0.grid
@@ -407,11 +428,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     if start.step > total_steps:
         raise ValueError("restart point is already past the configured t_final")
 
-    try:
-        record = _StepDiagnostics(cfg, h0, start.step * cfg.dt, start, total_steps)
-    except MemoryError:
-        raise ValueError(f"a record of {total_steps - start.step} steps does not fit "
-                         "in memory; lower t_final / dt") from None
+    record = _StepDiagnostics(cfg, h0, start.step * cfg.dt, start)
     workspace = Workspace(grid, cfg.pressure)
     h = h0.values
     scale = None                # H^1 norm of h, once a step has taken it

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -153,8 +153,6 @@ def read_snapshots_jsonl(path: Path) -> list[dict]:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -171,7 +169,6 @@ def _jsonable(obj):
 def build_report(traj: Trajectory) -> dict:
     """Summary dict with pinch / decay / relaxation sub-reports."""
     cfg, ledger = traj.config, traj.ledger
-    pinch = detect_pinch(traj)
     report = {
         "termination": traj.termination.value,
         "failure_message": traj.failure_message,
@@ -185,32 +182,15 @@ def build_report(traj: Trajectory) -> dict:
         "picard_iters_mean": float(traj.picard_iters[1:].mean())
         if len(traj.picard_iters) > 1
         else 0.0,
-        "pinch": {
-            "pinched": pinch.pinched,
-            "t_pinch": pinch.t_pinch,
-            "x_pinch": pinch.x_pinch,
-            "log_slope": pinch.log_slope,
-        },
+        "pinch": asdict(detect_pinch(traj)),
         "decay": None,
-        "relaxation": None,
+        "relaxation": asdict(relaxation_check(traj)),
     }
     if cfg.pressure < 2.0 and traj.termination is Termination.REACHED_T_FINAL:
         try:
-            fit = decay_rate(traj)
-            report["decay"] = {
-                "rate": fit.rate,
-                "prefactor": fit.prefactor,
-                "r_squared": fit.r_squared,
-            }
+            report["decay"] = asdict(decay_rate(traj))
         except ValueError:
             pass
-    relax = relaxation_check(traj)
-    report["relaxation"] = {
-        "h1_distance": relax.h1_distance,
-        "h3_local_distance": relax.h3_local_distance,
-        "dissipation_end": relax.dissipation_end,
-        "delta_loc": relax.delta_loc,
-    }
     return _jsonable(report)
 
 

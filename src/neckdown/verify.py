@@ -189,51 +189,46 @@ class MinLogSlopeSeries:
 
 
 def log_min_derivative_check(traj: Trajectory) -> MinLogSlopeSeries:
-    """Residual series |d ln h_m / dt + d4 h(x_m)| at snapshot midpoints."""
+    """Residual series |d ln h_m / dt + d4 h(x_m)| at snapshot midpoints,
+    over the pairs of consecutive snapshots whose time increases and whose
+    minima are both positive."""
     if len(traj.snapshots) < 2:
         raise ValueError("need at least two snapshots")
-    grid = traj.grid
-    times, residuals, reference = [], [], []
-    for j in range(len(traj.snapshots) - 1):
-        t0, t1 = traj.times[j], traj.times[j + 1]
-        if t1 <= t0:
-            continue
-        v0, v1 = traj.snapshots[j], traj.snapshots[j + 1]
-        m0 = float(np.min(v0))
-        m1 = float(np.min(v1))
-        if m0 <= 0 or m1 <= 0:
-            continue
-        rate = (np.log(m1) - np.log(m0)) / (t1 - t0)
-        avg = 0.5 * (v0 + v1)
-        i_m = int(np.argmin(avg))
-        d4 = derivative(avg, grid.dx, 4)[i_m]
-        times.append(0.5 * (t0 + t1))
-        residuals.append(abs(rate + d4))
-        reference.append(abs(d4))
+    t, snaps = traj.times, traj.snapshots
+    mins = snaps.min(axis=1)
+    keep = (t[1:] > t[:-1]) & (mins[:-1] > 0) & (mins[1:] > 0)
+    t0, t1 = t[:-1][keep], t[1:][keep]
+    rate = (np.log(mins[1:][keep]) - np.log(mins[:-1][keep])) / (t1 - t0)
+    avg = 0.5 * (snaps[:-1][keep] + snaps[1:][keep])
+    d4 = derivative(avg, traj.grid.dx, 4)[np.arange(len(avg)), np.argmin(avg, axis=1)]
     return MinLogSlopeSeries(
-        times=np.asarray(times),
-        residuals=np.asarray(residuals),
-        reference=np.asarray(reference),
+        times=0.5 * (t0 + t1),
+        residuals=np.abs(rate + d4),
+        reference=np.abs(d4),
     )
 
 
 def _bump_rates(
-    x: np.ndarray, t: float, centre: tuple[float, float], radii: tuple[float, float]
+    x: np.ndarray, t: float | np.ndarray, centre: tuple[float, float],
+    radii: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """phi_t and phi_xx at the nodes x and time t of the test function
     phi(x, t) = b((x - x_c) / r_x) b((t - t_c) / r_t), where centre is
     (x_c, t_c), radii is (r_x, r_t) and b(s) = exp(-1 / (1 - s^2)) is the
-    mollifier, zero for |s| >= 1 with all its derivatives."""
+    mollifier, zero for |s| >= 1 with all its derivatives.  For a vector of
+    k times, both are (k, n) stacks, a row per time."""
     (x_c, t_c), (r_x, r_t) = centre, radii
+    t = np.asarray(t, dtype=float)
+    n = len(x)
     s = np.append((x - x_c) / r_x, (t - t_c) / r_t)
     inside = np.abs(s) < 1.0
     q = np.where(inside, 1.0 - s * s, 1.0)
     b = np.where(inside, np.exp(-1.0 / q), 0.0)
     g1 = -2.0 * s / q**2                        # b' / b
     g2 = -2.0 / q**2 - 8.0 * s * s / q**3       # (b' / b)'
-    b_x, b_t = b[:-1], b[-1]
-    phi_t = b_x * (b_t * g1[-1] / r_t)
-    phi_xx = b_x * (g2[:-1] + g1[:-1] * g1[:-1]) * (b_t / r_x**2)
+    b_x, b_t, g1_t = b[:n], b[n:].reshape(t.shape), g1[n:].reshape(t.shape)
+    phi_t = b_x * (b_t * g1_t / r_t)[..., None]
+    phi_xx = b_x * (g2[:n] + g1[:n] * g1[:n]) * (b_t / r_x**2)[..., None]
     return phi_t, phi_xx
 
 
@@ -255,16 +250,13 @@ def weak_residual(
         raise ValueError("test function support exceeds the spatial domain")
     if not (times[0] < t_c - r_t and t_c + r_t < times[-1]):
         raise ValueError("test function support exceeds the trajectory time window")
-    grid = traj.grid
-    rule = traj.config.rule
-    integrand = np.empty(len(times))
-    for j, (t, h) in enumerate(zip(times, traj.snapshots)):
-        d1 = derivative(h, grid.dx, 1)
-        d2 = derivative(h, grid.dx, 2)
-        phi_t, phi_xx = _bump_rates(grid.nodes, t, centre, radii)
-        integrand[j] = quadrature(h * phi_t, grid, rule) - quadrature(
-            (h * d2 - 0.5 * d1 * d1) * phi_xx, grid, rule
-        )
+    grid, rule, h = traj.grid, traj.config.rule, traj.snapshots
+    d1 = derivative(h, grid.dx, 1)
+    d2 = derivative(h, grid.dx, 2)
+    phi_t, phi_xx = _bump_rates(grid.nodes, times, centre, radii)
+    integrand = quadrature(h * phi_t, grid, rule) - quadrature(
+        (h * d2 - 0.5 * d1 * d1) * phi_xx, grid, rule
+    )
     return float(np.trapezoid(integrand, times))
 
 

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neckdown.functionals import dissipation, energy
-from neckdown.grid import Profile, h1_norm, make_grid, min_value
+from neckdown.grid import Profile, derivative, h1_norm, make_grid, min_value
 from neckdown.initial import ic_steady_perturbed_poly, project_boundary_rows
 from neckdown.steady import contact_point, parabola, steady_profile
-from neckdown.linear import flux_energy_report
+from neckdown import evolve
+from neckdown.cli import main
+from neckdown.linear import LinearSolveError, flux_energy_report
 from neckdown.evolve import (
     BLOCK,
     PicardConvergenceError,
@@ -24,7 +26,6 @@ from neckdown.evolve import (
     epsilon_continuation,
     relaxation_check,
     run,
-    _StepDiagnostics,
     _mobility,
     step_nonlinear,
 )
@@ -198,12 +199,16 @@ def test_run_rejects_bad_schedules(grid, steady_p1, monkeypatch):
     with pytest.raises(ValueError, match="already past"):
         run(cfg, steady_p1, start=RunStart(step=300))
 
-    def out_of_memory(*args):
-        raise MemoryError
+    real_empty = np.empty
 
-    # the record is sized for every step up to t_final, before the first
-    monkeypatch.setattr(_StepDiagnostics, "__init__", out_of_memory)
-    with pytest.raises(ValueError, match="record of 200 steps does not fit in memory"):
+    def empty(shape, *args, **kwargs):
+        # the record's tables start with BLOCK + 1 rows; the first growth fails
+        if isinstance(shape, tuple) and shape[0] == 2 * (BLOCK + 1):
+            raise MemoryError
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(ValueError, match="record of 129 rows does not fit in memory"):
         run(cfg, steady_p1)
 
 
@@ -418,6 +423,20 @@ def assert_same_bits(got: list[np.ndarray], want: list[np.ndarray]) -> None:
         assert a.tobytes() == b.tobytes(), name
 
 
+def pinch_config(**config) -> SolverConfig:
+    """The P = 4, n = 51, eps = 0 run of the block-ledger tests, every state
+    kept and flux rows on; config overrides the fields."""
+    return SolverConfig(**{
+        "pressure": 4.0, "n": 51, "dt": 1e-4, "epsilon": 0.0, "output_every": 1,
+        "flux_diagnostics": True, **config,
+    })
+
+
+def pinch_data() -> Profile:
+    grid = make_grid(51)
+    return Profile(grid=grid, values=ic_steady_perturbed_poly(4.0, grid, 1.2), pressure=4.0)
+
+
 @pytest.mark.parametrize(
     "steps, termination, config",
     [
@@ -436,18 +455,54 @@ def test_block_ledger_matches_per_step_evaluation(steps, termination, config):
     the bytes the per-step calls give, for runs that end on a block
     boundary or mid-block, at t_final, at the pinch floor (step 78 of the
     P = 4 run at n = 51, dt = 1e-3) and on a Picard failure (step 407
-    fails)."""
-    grid = make_grid(51)
-    cfg = SolverConfig(**{
-        "pressure": 4.0, "n": 51, "dt": 1e-4, "epsilon": 0.0, "output_every": 1,
-        "flux_diagnostics": True, **config,
-    })
-    h0 = Profile(grid=grid, values=ic_steady_perturbed_poly(4.0, grid, 1.2), pressure=4.0)
-    traj = run(cfg, h0)
+    fails).  The record's tables start with BLOCK + 1 rows, so the runs
+    past one block grow every table: ledger, snapshots, their steps and
+    flux rows."""
+    traj = run(pinch_config(**config), pinch_data())
     assert traj.termination is termination
     assert len(traj.ledger) == steps + 1
     assert traj.flux_reports.shape == (steps, 4)
     assert_same_bits(diagnostics(traj), per_step_diagnostics(traj))
+
+
+def test_run_to_a_far_t_final_stops_at_the_pinch():
+    """A run may be given a t_final far past its pinch: with t_final = 1e6
+    at dt = 1e-3 (1e9 steps) the record grows with the run, and the run
+    pinches at step 78 with the bytes of the t_final = 1 run."""
+    near = run(pinch_config(dt=1e-3, t_final=1.0), pinch_data())
+    far = run(pinch_config(dt=1e-3, t_final=1e6), pinch_data())
+    assert far.termination is Termination.PINCH_DETECTED
+    assert far.snapshot_steps[-1] == 78
+    assert far.ledger.tobytes() == near.ledger.tobytes()
+    assert far.snapshots.tobytes() == near.snapshots.tobytes()
+    assert far.snapshot_steps.tolist() == near.snapshot_steps.tolist()
+    assert far.flux_reports.tobytes() == near.flux_reports.tobytes()
+
+
+def test_run_turns_solver_failure_into_termination(tmp_path, monkeypatch):
+    """A LinearSolveError mid-block, in the step after step 70, ends the run
+    as a solver failure with its message, and the 71 ledger rows of the
+    accepted states are the per-step bytes; the command line exits 3."""
+    cfg = pinch_config(t_final=0.02)
+    h0 = pinch_data()
+    state_70 = run(replace(cfg, t_final=70e-4), h0).final.values
+    real_step = evolve.step_linear
+
+    def step_linear(values, *args, **kwargs):
+        if np.array_equal(values, state_70):
+            raise LinearSolveError("banded solve failed at step 71")
+        return real_step(values, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "step_linear", step_linear)
+    traj = run(cfg, h0)
+    assert traj.termination is Termination.SOLVER_FAILURE
+    assert traj.failure_message == "banded solve failed at step 71"
+    assert len(traj.ledger) == 71
+    assert_same_bits(diagnostics(traj), per_step_diagnostics(traj))
+    rc = main(["run", "--pressure", "4", "--n", "51", "--dt", "1e-4", "--t-final", "0.02",
+               "--epsilon", "0", "--ic", "steady-perturbed-poly:1.2",
+               "--out-dir", str(tmp_path)])
+    assert rc == 3
 
 
 def test_split_block_ledger_matches_per_step_evaluation():
@@ -669,6 +724,31 @@ def test_log_min_check_needs_two_snapshots(steady_traj):
     )
     with pytest.raises(ValueError, match="two snapshots"):
         log_min_derivative_check(lone)
+
+
+def test_log_min_check_skips_pairs_it_cannot_difference(short_traj):
+    """Pairs with a non-increasing time or a nonpositive minimum drop out
+    of the series, and each kept pair gets the bits of a loop over the
+    pairs, one 1-D derivative call each."""
+    s, t, grid = short_traj.snapshots, short_traj.times, short_traj.grid
+    dipped = s[2].copy()
+    dipped[100] = -0.1
+    snapshots = np.stack([s[0], s[1], s[1], s[2], dipped, s[3], s[4]])
+    times = np.array([t[0], t[1], t[1], t[2], 0.5 * (t[2] + t[3]), t[3], t[4]])
+    series = log_min_derivative_check(Trajectory(
+        config=short_traj.config, grid=grid, times=times, snapshots=snapshots,
+        snapshot_steps=np.arange(len(times)), ledger=short_traj.ledger,
+        termination=short_traj.termination,
+    ))
+    want = []
+    for j in (0, 2, 5):             # pairs 1, 3 and 4 are skipped
+        (t0, t1), (v0, v1) = times[j : j + 2], snapshots[j : j + 2]
+        avg = 0.5 * (v0 + v1)
+        d4 = derivative(avg, grid.dx, 4)[int(np.argmin(avg))]
+        rate = (np.log(float(v1.min())) - np.log(float(v0.min()))) / (t1 - t0)
+        want.append((0.5 * (t0 + t1), abs(rate + d4), abs(d4)))
+    got = np.column_stack([series.times, series.residuals, series.reference])
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_decay_fit_recovers_exponential_relaxation(decay_traj):
