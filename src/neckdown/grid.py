@@ -20,8 +20,12 @@ import numpy as np
 # on a zeroed y, they return the bits of `csr_matrix @ v` without
 # scipy.sparse's per-call dispatch, and each column of a block gets the bits
 # of its own product.  They are not public API and check no lengths;
-# test_grid pins the imports and the equalities.
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+# test_grid pins the equalities.  _scipy loads their compiled module,
+# scipy/sparse/_sparsetools, from its file, without scipy.sparse's package.
+from ._scipy import extension
+
+_sparsetools = extension("sparse._sparsetools")
+csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
 
 MIN_NODES = 9
 

@@ -10,7 +10,9 @@ columns 0 and n-1 move into the rhs, and rows and columns 1..n-2, still a
 (2, 2) band, go through one banded LU with partial pivoting.  LAPACK gbsv
 factors and solves in one call (it is gbtrf followed by gbtrs), and it is
 the only factorization: when a solve is rejected, gbcon estimates the
-condition number of that block from the LU gbsv returned.  The
+condition number of that block from the LU gbsv returned.  Both come from
+scipy's compiled LAPACK module, scipy/linalg/_flapack, which _scipy loads
+from its file without running scipy.linalg's package import.  The
 backward-error gate tests the full system.  States are plain float64 arrays
 here; nothing in the step builds a Profile.  A run's solves share one
 Workspace: its band keeps the boundary rows, and each solve rewrites only
@@ -23,9 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbcon, dgbsv
 
+from ._scipy import extension
 from .grid import CURVATURE_STENCIL, Grid, derivative, quadrature
+
+_flapack = extension("linalg._flapack")
+dgbcon, dgbsv = _flapack.dgbcon, _flapack.dgbsv
 
 RESIDUAL_RTOL = 1e-9
 
@@ -284,13 +289,14 @@ def step_linear(
     b = new_values[1:-1]
     inner = ab[:, 1:-1]
     ws.lu[_KL:] = inner
-    lu, ipiv, x, info = dgbsv(_KL, _KU, ws.lu, b, overwrite_ab=True)
+    # b is a contiguous float64 view, so gbsv writes the solution into it
+    # and new_values holds h_new with no copy
+    lu, ipiv, _, info = dgbsv(_KL, _KU, ws.lu, b, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise LinearSolveError(
             f"banded solve failed (condition estimate inf): singular matrix, "
             f"zero pivot in column {info}"
         )
-    b[:] = x
 
     # the gate's four infinity norms in one pass over ws.gate; a non-finite
     # entry of the solution makes the residual, and so backward,

@@ -45,17 +45,23 @@ def quick_config(**overrides):
 
 def test_import_loads_no_integrate_optimize_special_or_multiprocessing():
     """Every command pays for what `import neckdown.cli` loads; the Simpson rule
-    and the sweep's process pool must not pull these in."""
+    and the sweep's process pool must not pull these in.  Of scipy, only the
+    two compiled modules the solver calls are loaded, from their files, and
+    neither they nor any scipy package are left in sys.modules."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
-        "import sys, neckdown.cli; print(' '.join(m for m in ('scipy.integrate', "
-        "'scipy.optimize', 'scipy.special', 'multiprocessing') if m in sys.modules))"
+        "import json, sys, neckdown.cli; print(json.dumps(["
+        "[m for m in ('scipy', 'scipy.linalg', 'scipy.sparse', 'scipy.integrate', "
+        "'scipy.optimize', 'scipy.special', 'multiprocessing') if m in sys.modules], "
+        "sorted(m for m in sys.modules if m.startswith('scipy.'))]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == []
+    loaded, scipy_modules = json.loads(out.stdout)
+    assert loaded == []
+    assert scipy_modules == []
 
 
 FORMATTED_FLOATS = st.one_of(

@@ -396,7 +396,8 @@ def test_gate_rejects_perturbed_solution(grid201, monkeypatch):
 
     def off_solve(*args, **kwargs):
         lu, ipiv, x, info = real(*args, **kwargs)
-        return lu, ipiv, x + 1e-3, info
+        x += 1e-3
+        return lu, ipiv, x, info
 
     monkeypatch.setattr(linear, "dgbsv", off_solve)
     with pytest.raises(LinearSolveError, match=f"exceeds {RESIDUAL_RTOL:.0e}"):
@@ -415,7 +416,8 @@ def test_rejected_solve_estimates_condition_from_its_own_lu(grid201, monkeypatch
     def off_solve(*args, **kwargs):
         lu, ipiv, x, info = real_solve(*args, **kwargs)
         solved.append(lu)
-        return lu, ipiv, x + 1e-3, info
+        x += 1e-3
+        return lu, ipiv, x, info
 
     def recording_gbcon(kl, ku, lu, ipiv, anorm):
         estimated.append(lu)
@@ -440,6 +442,25 @@ def test_gate_rejects_singular_factorization(grid201, monkeypatch):
     monkeypatch.setattr(linear, "dgbsv", zero_pivot)
     with pytest.raises(LinearSolveError, match="singular matrix, zero pivot in column 5"):
         step_linear(perturbed_state(grid201), grid201, np.ones(grid201.n), 1e-5, 1.0)
+
+
+def test_solve_writes_the_solution_into_the_returned_values(grid201, monkeypatch):
+    """gbsv solves in place into the rhs slice of the returned values, with
+    the bits of a solve into a fresh array."""
+    real = linear.dgbsv
+    calls = []
+
+    def recording_solve(kl, ku, ab, b, **kwargs):
+        fresh = real(kl, ku, ab.copy(order="F"), b.copy())[2]
+        lu, ipiv, x, info = real(kl, ku, ab, b, **kwargs)
+        calls.append((x, fresh))
+        return lu, ipiv, x, info
+
+    monkeypatch.setattr(linear, "dgbsv", recording_solve)
+    result = step_linear(perturbed_state(grid201), grid201, np.ones(grid201.n), 1e-5, 1.0)
+    [(x, fresh)] = calls
+    assert np.shares_memory(x, result.values)
+    assert result.values[1:-1].tobytes() == fresh.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
