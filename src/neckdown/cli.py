@@ -52,10 +52,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         help="Crank-Nicolson time stepping instead of backward Euler",
     )
     parser.add_argument(
-        "--simpson", action="store_true", default=None,
-        help="Simpson quadrature for the scalar functionals",
-    )
-    parser.add_argument(
         "--config", type=Path, default=None, metavar="FILE",
         help="JSON file with solver parameters; flags override it",
     )

@@ -70,7 +70,6 @@ class SolverConfig:
     output_every: int = 100
     flux_diagnostics: bool = False
     crank_nicolson: bool = False
-    simpson: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -102,10 +101,6 @@ class SolverConfig:
             raise ValueError("epsilon = 0 runs need a positive pinch_floor")
         if self.output_every < 1:
             raise ValueError(f"output_every must be >= 1, got {self.output_every}")
-
-    @property
-    def rule(self) -> str:
-        return "simpson" if self.simpson else "trapezoid"
 
 
 @dataclass(frozen=True)
@@ -235,13 +230,17 @@ def step_nonlinear(
     )
 
 
-def _validate_initial(h0: Profile, cfg: SolverConfig, fresh: bool) -> None:
-    """Boundary rows for every start state; strict positivity only for fresh
-    initial data, since a restored state is whatever the run reached."""
+def _validate_start(h0: Profile, cfg: SolverConfig, start: RunStart | None) -> None:
+    """h0 on the config's nodes and pressure, and on the boundary rows;
+    strict positivity only for fresh initial data, since a restored state is
+    whatever the run reached.  A start holds at most two history rows, each
+    a Profile's values on h0's grid."""
     if h0.grid.n != cfg.n:
         raise ValueError(
             f"initial data lives on {h0.grid.n} nodes, config wants {cfg.n}"
         )
+    if h0.pressure != cfg.pressure:
+        raise ValueError(f"initial data is for pressure {h0.pressure}, config wants {cfg.pressure}")
     res = bc_residuals(h0.values, h0.grid, cfg.pressure)
     if abs(res[0]) > VALUE_ROW_TOL or abs(res[3]) > VALUE_ROW_TOL:
         raise ValueError(
@@ -254,24 +253,26 @@ def _validate_initial(h0: Profile, cfg: SolverConfig, fresh: bool) -> None:
             f"initial data violates the curvature rows (defects {res[1]:.3e}, "
             f"{res[2]:.3e}); project it onto the boundary rows first"
         )
-    if fresh and float(np.min(h0.values)) <= 0.0:
+    if start is None and float(np.min(h0.values)) <= 0.0:
         raise ValueError("initial data must be strictly positive")
+    history = start.history if start else ()
+    if len(history) > 2:
+        raise ValueError(f"a start holds at most 2 history rows, got {len(history)}")
+    for row in history:
+        Profile(grid=h0.grid, values=row, pressure=cfg.pressure)
 
 
-def _room(table: np.ndarray, rows: int) -> np.ndarray:
-    """table when it holds at least rows rows, else a copy with room for
-    twice its rows or for rows, whichever is more.  Growing only copies
-    rows, so every value keeps its bits; an allocation that fails is a
-    ValueError."""
-    if rows <= len(table):
-        return table
-    try:
-        grown = np.empty((max(2 * len(table), rows), *table.shape[1:]), table.dtype)
-    except MemoryError:
-        raise ValueError(f"a record of {rows} rows does not fit in memory; "
-                         "lower t_final / dt") from None
-    grown[: len(table)] = table
-    return grown
+def _room(table: np.ndarray, rows: int) -> None:
+    """Grow table in place to twice its rows, or to rows if more, when it
+    holds fewer than rows.  The realloc keeps every row's bits and skips
+    numpy's reference check: no view of a table lives across a growth.  A
+    growth that fails is a ValueError and leaves the table as it was."""
+    if rows > len(table):
+        try:
+            table.resize((max(2 * len(table), rows), *table.shape[1:]), refcheck=False)
+        except MemoryError:
+            raise ValueError(f"a record of {rows} rows does not fit in memory; "
+                             "lower t_final / dt") from None
 
 
 class _StepDiagnostics:
@@ -332,14 +333,14 @@ class _StepDiagnostics:
     def _evaluate(self, states: np.ndarray, times: list[float], iters: list[int]) -> np.ndarray:
         """Fill the next ledger rows of a stack of states, all columns but
         the dissipation integral, and return them."""
-        cfg, grid, rule = self.cfg, self.grid, self.cfg.rule
-        self.ledger = _room(self.ledger, self.rows + len(states))
+        cfg, grid = self.cfg, self.grid
+        _room(self.ledger, self.rows + len(states))
         rows = self.ledger[self.rows : self.rows + len(states)]
         self.rows += len(states)
         where = np.argmin(states, axis=1)
         rows["time"] = times
-        rows["energy"] = energy(states, grid, cfg.pressure, rule)
-        rows["dissipation"] = dissipation(states, grid, rule)
+        rows["energy"] = energy(states, grid, cfg.pressure)
+        rows["dissipation"] = dissipation(states, grid)
         rows["h_min"] = states[np.arange(len(states)), where]
         rows["x_min"] = grid.nodes[where]
         rows["picard_iters"] = iters
@@ -348,7 +349,8 @@ class _StepDiagnostics:
     def _keep(self, states: np.ndarray, steps) -> None:
         """Copy a stack of states, taken at steps, to the snapshot stack."""
         j, k = self.snaps, self.snaps + len(states)
-        self.snapshots, self.snap_steps = _room(self.snapshots, k), _room(self.snap_steps, k)
+        _room(self.snapshots, k)
+        _room(self.snap_steps, k)
         self.snapshots[j:k], self.snap_steps[j:k] = states, steps
         self.snaps = k
 
@@ -362,14 +364,14 @@ class _StepDiagnostics:
         midpoints = self.midpoints[:m]
         np.add(block[:-1], block[1:], out=midpoints)
         midpoints *= 0.5
-        increments = cfg.dt * dissipation(midpoints, grid, cfg.rule)
+        increments = cfg.dt * dissipation(midpoints, grid)
         self._evaluate(block[1:], self.times, self.iters)
         # the row before the block holds the integral the block continues
         cum = self.ledger["cumulative_dissipation"][self.rows - m - 1 : self.rows]
         cum[1:] = increments
         np.add.accumulate(cum, out=cum)
         if cfg.flux_diagnostics:
-            self.flux = _room(self.flux, self.fluxes + m)
+            _room(self.flux, self.fluxes + m)
             self.flux[self.fluxes : self.fluxes + m] = flux_energy_report(
                 block, _mobility(block, cfg), grid, cfg.dt, self.times)
             self.fluxes += m
@@ -418,7 +420,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     run, so t_final may lie far past a pinch; a record that outgrows memory
     is a ValueError.
     """
-    _validate_initial(h0, cfg, fresh=start is None)
+    _validate_start(h0, cfg, start)
     grid = h0.grid
     start = start or RunStart()
 
@@ -656,6 +658,6 @@ def relaxation_check(traj: Trajectory, delta_loc: float | None = None) -> RelaxR
     return RelaxReport(
         h1_distance=float(h1_distance),
         h3_local_distance=float(np.sqrt(total)),
-        dissipation_end=float(dissipation(final, grid, cfg.rule)),
+        dissipation_end=float(dissipation(final, grid)),
         delta_loc=float(delta_loc),
     )

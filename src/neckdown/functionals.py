@@ -13,17 +13,15 @@ import numpy as np
 from .grid import Grid, derivative, quadrature
 
 
-def energy(
-    values: np.ndarray, grid: Grid, pressure: float, rule: str = "trapezoid"
-) -> float | np.ndarray:
+def energy(values: np.ndarray, grid: Grid, pressure: float) -> float | np.ndarray:
     """E(h) = 1/2 int |d1 h|^2 + P int h of a nodal field, or of each row of
     a (k, n) stack, where each row gets the bits of its own 1-D call."""
     d1 = derivative(values, grid.dx, 1)
     d1 *= d1
-    return 0.5 * quadrature(d1, grid, rule) + pressure * quadrature(values, grid, rule)
+    return 0.5 * quadrature(d1, grid) + pressure * quadrature(values, grid)
 
 
-def dissipation(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float | np.ndarray:
+def dissipation(values: np.ndarray, grid: Grid) -> float | np.ndarray:
     """D(h) = int h |d3 h|^2 of a nodal field, or of each row of a (k, n)
     stack, with negative h clipped to zero.
 
@@ -37,4 +35,4 @@ def dissipation(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> floa
     integrand = np.maximum(values, 0.0)
     integrand *= d3
     integrand *= d3
-    return quadrature(integrand, grid, rule)
+    return quadrature(integrand, grid)

@@ -183,25 +183,15 @@ def derivative(values: np.ndarray, dx: float, order: int) -> np.ndarray:
     return out
 
 
-def quadrature(values: np.ndarray, grid: Grid, rule: str = "trapezoid") -> float | np.ndarray:
-    """Integrate a nodal field over [-1, 1], or each row of a (k, n) stack.
-
-    rule is "trapezoid" (default) or "simpson"; the node count is odd so the
-    composite Simpson rule always applies. It is summed the way
-    scipy.integrate.simpson sums an odd count at spacing dx, bit for bit,
-    without importing scipy.integrate.  A stack is reduced row by row over
-    contiguous rows, so each row gets the pairwise sum of its own 1-D call.
-    """
+def quadrature(values: np.ndarray, grid: Grid) -> float | np.ndarray:
+    """Trapezoid integral of a nodal field over [-1, 1], or of each row of a
+    (k, n) stack, reduced row by row over contiguous rows so that each row
+    gets the pairwise sum of its own 1-D call."""
     values = np.ascontiguousarray(values)
     if values.shape[-1] != grid.n:
         raise ValueError(f"field has {values.shape[-1]} values on a {grid.n}-node grid")
-    if rule == "trapezoid":
-        # values.T[0] is the first node of the field, or of every row
-        return grid.dx * (np.add.reduce(values, -1) - 0.5 * (values.T[0] + values.T[-1]))
-    if rule == "simpson":
-        panels = values[..., 0:-2:2] + 4.0 * values[..., 1:-1:2] + values[..., 2::2]
-        return np.add.reduce(panels, -1) * (grid.dx / 3.0)
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    # values.T[0] is the first node of the field, or of every row
+    return grid.dx * (np.add.reduce(values, -1) - 0.5 * (values.T[0] + values.T[-1]))
 
 
 def trapezoid_weights(grid: Grid) -> np.ndarray:

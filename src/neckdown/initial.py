@@ -186,6 +186,33 @@ def ic_from_file(path: str | Path, grid: Grid) -> np.ndarray:
     return values
 
 
+def _ic_file(pressure: float, grid: Grid, arg: str, seed: int) -> np.ndarray:
+    if not arg:
+        raise ValueError("file initial condition needs a path: file:PATH")
+    return ic_from_file(arg, grid)
+
+
+# each family's builder, called with the pressure, the grid, the spec's text
+# after ":" and the seed
+IC_FAMILIES = {
+    "steady": lambda pressure, grid, arg, seed: ic_steady(pressure, grid),
+    "steady-perturbed-poly": lambda pressure, grid, arg, seed: ic_steady_perturbed_poly(
+        pressure, grid, float(arg) if arg else default_poly_amplitude(pressure)),
+    "steady-perturbed-random": lambda pressure, grid, arg, seed: ic_steady_perturbed_random(
+        pressure, grid, float(arg) if arg else 0.05, seed),
+    "file": _ic_file,
+}
+
+
+def ic_family(spec: str) -> str:
+    """The family of an initial-condition spec: its text before any ":"."""
+    family = spec.partition(":")[0]
+    if family not in IC_FAMILIES:
+        raise ValueError(f"unknown initial-condition family {family!r}; "
+                         f"choose one of {', '.join(IC_FAMILIES)}")
+    return family
+
+
 def build_initial_condition(
     spec: str, pressure: float, grid: Grid, seed: int = 0
 ) -> np.ndarray:
@@ -194,17 +221,4 @@ def build_initial_condition(
     Formats: "steady", "steady-perturbed-poly[:amplitude]",
     "steady-perturbed-random[:amplitude]", "file:path".
     """
-    name, _, arg = spec.partition(":")
-    if name == "steady":
-        return ic_steady(pressure, grid)
-    if name == "steady-perturbed-poly":
-        amp = float(arg) if arg else default_poly_amplitude(pressure)
-        return ic_steady_perturbed_poly(pressure, grid, amp)
-    if name == "steady-perturbed-random":
-        amp = float(arg) if arg else 0.05
-        return ic_steady_perturbed_random(pressure, grid, amp, seed)
-    if name == "file":
-        if not arg:
-            raise ValueError("file initial condition needs a path: file:PATH")
-        return ic_from_file(arg, grid)
-    raise ValueError(f"unknown initial-condition family {name!r}")
+    return IC_FAMILIES[ic_family(spec)](pressure, grid, spec.partition(":")[2], seed)

@@ -40,10 +40,9 @@ from .initial import (
     build_initial_condition,
     check_json_numbers,
     check_json_type,
+    ic_family,
     read_json,
 )
-
-IC_FAMILIES = ("steady", "steady-perturbed-poly", "steady-perturbed-random", "file")
 
 LEDGER_HEADER = "t,energy,dissipation,cum_dissipation,h_min,x_min,picard_iters"
 FLUX_HEADER = "t,weighted_flux_norm,flux_curvature_norm,identity_residual"
@@ -83,12 +82,7 @@ class RunManifest:
     restore: Path | None = None        # resume from this checkpoint if set
 
     def __post_init__(self):
-        family = self.initial_condition.partition(":")[0]
-        if family not in IC_FAMILIES:
-            raise ValueError(
-                f"unknown initial-condition family {family!r}; "
-                f"choose one of {', '.join(IC_FAMILIES)}"
-            )
+        ic_family(self.initial_condition)
 
     @property
     def ledger_path(self) -> Path:

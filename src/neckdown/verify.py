@@ -126,7 +126,7 @@ def entropy_density(s: np.ndarray, bound: float, eps: float) -> np.ndarray:
     )
 
 
-def entropy(p: Profile, bound: float, eps: float, rule: str = "trapezoid") -> float:
+def entropy(p: Profile, bound: float, eps: float) -> float:
     """Quadrature of the entropy density F_eps over the profile.
 
     bound (the anchor A) must dominate the profile and eps must be positive;
@@ -139,7 +139,7 @@ def entropy(p: Profile, bound: float, eps: float, rule: str = "trapezoid") -> fl
         raise ValueError(
             f"entropy anchor {bound} is below the profile maximum {np.max(p.values)}"
         )
-    return quadrature(entropy_density(p.values, bound, eps), p.grid, rule)
+    return quadrature(entropy_density(p.values, bound, eps), p.grid)
 
 
 def entropy_under_bumps(
@@ -240,7 +240,7 @@ def weak_residual(
 
     Zero for an exact weak solution of dt h + d/dx^2 (h d2 h - |d1 h|^2/2) = 0;
     on solver output it converges to zero with the discretization.  Trapezoid
-    in time over the snapshot times, configured quadrature in space.
+    in time over the snapshot times and in space.
     """
     times = np.asarray(traj.times, dtype=float)
     if len(times) < 3:
@@ -250,12 +250,12 @@ def weak_residual(
         raise ValueError("test function support exceeds the spatial domain")
     if not (times[0] < t_c - r_t and t_c + r_t < times[-1]):
         raise ValueError("test function support exceeds the trajectory time window")
-    grid, rule, h = traj.grid, traj.config.rule, traj.snapshots
+    grid, h = traj.grid, traj.snapshots
     d1 = derivative(h, grid.dx, 1)
     d2 = derivative(h, grid.dx, 2)
     phi_t, phi_xx = _bump_rates(grid.nodes, times, centre, radii)
-    integrand = quadrature(h * phi_t, grid, rule) - quadrature(
-        (h * d2 - 0.5 * d1 * d1) * phi_xx, grid, rule
+    integrand = quadrature(h * phi_t, grid) - quadrature(
+        (h * d2 - 0.5 * d1 * d1) * phi_xx, grid
     )
     return float(np.trapezoid(integrand, times))
 

@@ -44,7 +44,7 @@ def quick_config(**overrides):
 
 
 def test_import_loads_no_integrate_optimize_special_or_multiprocessing():
-    """Every command pays for what `import neckdown.cli` loads; the Simpson rule
+    """Every command pays for what `import neckdown.cli` loads; the quadrature
     and the sweep's process pool must not pull these in.  Of scipy, only the
     two compiled modules the solver calls are loaded, from their files, and
     neither they nor any scipy package are left in sys.modules."""
@@ -330,10 +330,12 @@ def test_checkpoint_roundtrip_and_mismatch(tmp_path):
     assert traj.end.step == int(traj.snapshot_steps[-1])
     assert len(traj.end.history) == 2
     state = json.loads(manifest.checkpoint.read_text())
-    assert "time" not in state
-    # an older checkpoint's time key is ignored: the time is step * dt
+    assert "time" not in state and "simpson" not in state["config"]
+    # an older checkpoint's time key is ignored, as the time is step * dt, and
+    # so is its config's simpson key, as the trapezoid is the one quadrature
     older = tmp_path / "older.json"
-    older.write_text(json.dumps({**state, "time": 123.0}))
+    older.write_text(json.dumps(
+        {**state, "time": 123.0, "config": {**state["config"], "simpson": False}}))
     for path in (manifest.checkpoint, older):
         profile, start = load_checkpoint(path, cfg)
         assert profile.values.tobytes() == traj.final.values.tobytes()
@@ -786,7 +788,7 @@ NON_DEFAULT_SOLVER_FLAGS = [
     "--pressure", "2.5", "--epsilon", "0.03", "--n", "301", "--dt", "2e-4",
     "--t-final", "0.7", "--picard-tol", "1e-6", "--picard-max", "7",
     "--pinch-floor", "2e-3", "--output-every", "9",
-    "--flux-diagnostics", "--cn", "--simpson",
+    "--flux-diagnostics", "--cn",
 ]
 
 
@@ -799,7 +801,7 @@ def test_every_solver_field_is_set_by_its_flag(command):
     assert cfg == SolverConfig(
         pressure=2.5, epsilon=0.03, n=301, dt=2e-4, t_final=0.7, picard_tol=1e-6,
         picard_max=7, pinch_floor=2e-3, output_every=9, flux_diagnostics=True,
-        crank_nicolson=True, simpson=True,
+        crank_nicolson=True,
     )
     for field in fields(SolverConfig):
         assert getattr(cfg, field.name) != field.default, field.name
@@ -873,6 +875,20 @@ def test_cli_checkpoint_restore_roundtrip(tmp_path):
     report = json.loads((tmp_path / "b" / "report.json").read_text())
     assert report["t_end"] == pytest.approx(0.01)
     assert report["steps"] == 100
+
+
+def test_cli_has_no_quadrature_option(tmp_path, capsys):
+    """The trapezoid is the one quadrature: --simpson is no flag, and a
+    config file that sets simpson names it as an unknown key."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--pressure", "1", "--simpson", "--out-dir", str(tmp_path / "a")])
+    assert exc.value.code == 2
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"pressure": 1.0, "simpson": False}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_file), "--out-dir", str(tmp_path / "b")]) == 2
+    assert "unknown config file keys: ['simpson']" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 def test_cli_restores_a_checkpoint_whose_film_went_negative(tmp_path):

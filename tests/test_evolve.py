@@ -119,8 +119,6 @@ def test_config_validation():
         SolverConfig(pressure=1.0, epsilon=0.0, pinch_floor=0.0)
     with pytest.raises(ValueError, match="output_every"):
         SolverConfig(pressure=1.0, output_every=0)
-    assert SolverConfig(pressure=1.0).rule == "trapezoid"
-    assert SolverConfig(pressure=1.0, simpson=True).rule == "simpson"
 
 
 def test_steady_profile_is_fixed_point_of_nonlinear_step():
@@ -192,24 +190,18 @@ def test_run_rejects_incompatible_initial_data(grid):
         run(SolverConfig(pressure=8.0, dt=1e-4, t_final=0.01, epsilon=1e-2), deep)
 
 
-def test_run_rejects_bad_schedules(grid, steady_p1, monkeypatch):
+def test_run_rejects_bad_schedules(grid, steady_p1):
     with pytest.raises(ValueError, match="at least one step"):
         run(SolverConfig(pressure=1.0, dt=1e-4, t_final=1e-9), steady_p1)
     cfg = SolverConfig(pressure=1.0, dt=1e-4, t_final=0.02, epsilon=1e-2)
     with pytest.raises(ValueError, match="already past"):
         run(cfg, steady_p1, start=RunStart(step=300))
 
-    real_empty = np.empty
-
-    def empty(shape, *args, **kwargs):
-        # the record's tables start with BLOCK + 1 rows; the first growth fails
-        if isinstance(shape, tuple) and shape[0] == 2 * (BLOCK + 1):
-            raise MemoryError
-        return real_empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "empty", empty)
-    with pytest.raises(ValueError, match="record of 129 rows does not fit in memory"):
-        run(cfg, steady_p1)
+    # a growth that realloc refuses leaves the table as it was
+    table = np.arange(BLOCK + 1.0)
+    with pytest.raises(ValueError, match=f"record of {2**50} rows does not fit in memory"):
+        evolve._room(table, 2**50)
+    assert table.tolist() == list(range(BLOCK + 1))
 
 
 def test_restart_at_t_final_takes_no_step(steady_p1):
@@ -394,12 +386,12 @@ def per_step_diagnostics(traj: Trajectory, cum: float = 0.0) -> list[np.ndarray]
     for k, h in zip(steps, traj.snapshots):
         t = k * cfg.dt
         if prev is not None:
-            cum += cfg.dt * dissipation(0.5 * (prev + h), grid, cfg.rule)
+            cum += cfg.dt * dissipation(0.5 * (prev + h), grid)
             if cfg.flux_diagnostics:
                 g = np.stack([_mobility(prev, cfg), _mobility(h, cfg)])
                 flux.append(flux_energy_report(np.stack([prev, h]), g, grid, cfg.dt, [t]))
         ledger.append(
-            (t, energy(h, grid, cfg.pressure, cfg.rule), dissipation(h, grid, cfg.rule), cum)
+            (t, energy(h, grid, cfg.pressure), dissipation(h, grid), cum)
         )
         mins.append((t, *min_value(Profile(grid=grid, values=h, pressure=cfg.pressure))))
         prev = h
@@ -506,13 +498,13 @@ def test_run_turns_solver_failure_into_termination(tmp_path, monkeypatch):
 
 
 def test_split_block_ledger_matches_per_step_evaluation():
-    """A Simpson run split mid-block at step 70 and resumed to step 150:
+    """A run split mid-block at step 70 and resumed to step 150:
     each leg's ledger, minimum series and flux reports are the per-step
     bytes, the second leg summing the integral from the first leg's end,
     and together they repeat the unsplit run's."""
     grid = make_grid(51)
     cfg = SolverConfig(pressure=1.5, n=51, dt=1e-4, t_final=150e-4, epsilon=1e-2,
-                       output_every=1, flux_diagnostics=True, simpson=True)
+                       output_every=1, flux_diagnostics=True)
     h0 = Profile(grid=grid, values=ic_steady_perturbed_poly(1.5, grid, 0.3), pressure=1.5)
     whole = run(cfg, h0)
     first = run(replace(cfg, t_final=70e-4), h0)
@@ -543,6 +535,33 @@ def test_restored_state_need_not_be_positive(grid):
     with pytest.raises(ValueError, match="boundary value rows"):
         run(cfg, Profile(grid=grid, values=dipped.values + 0.01, pressure=8.0),
             start=RunStart(step=10))
+
+
+@pytest.mark.parametrize(
+    "history, message",
+    [
+        (lambda row: (np.full_like(row, np.nan),), "profile values must be finite"),
+        (lambda row: (row[:-1],), "profile has"),
+        (lambda row: (row, row, row), "at most 2 history rows, got 3"),
+    ],
+    ids=["nan-row", "short-row", "three-rows"],
+)
+def test_run_checks_the_history_of_its_start(steady_p1, history, message):
+    """Each history row is a Profile's values on h0's grid, and a start holds
+    at most two; a bad one is refused where run enters."""
+    cfg = SolverConfig(pressure=1.0, dt=1e-4, t_final=0.002, epsilon=1e-2)
+    start = RunStart(step=10, history=history(steady_p1.values))
+    with pytest.raises(ValueError, match=message):
+        run(cfg, steady_p1, start=start)
+
+
+def test_run_checks_the_pressure_of_its_start(grid):
+    """Initial data for another pressure is refused, fresh or restored."""
+    h0 = Profile(grid=grid, values=steady_profile(4.0, grid), pressure=4.0)
+    cfg = SolverConfig(pressure=1.0, dt=1e-4, t_final=0.002, epsilon=1e-2)
+    for start in (None, RunStart(step=10)):
+        with pytest.raises(ValueError, match="pressure 4.0, config wants 1.0"):
+            run(cfg, h0, start=start)
 
 
 def test_run_record_costs_under_100_bytes_per_step():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
@@ -153,36 +152,9 @@ def test_quadrature_x_squared(grid201):
     assert quadrature(grid201.nodes**2, grid201) == pytest.approx(2.0 / 3.0, abs=1e-4)
 
 
-def test_quadrature_simpson_beats_trapezoid(grid201):
-    vals = np.exp(grid201.nodes)
-    exact = np.e - 1.0 / np.e
-    err_t = abs(quadrature(vals, grid201) - exact)
-    err_s = abs(quadrature(vals, grid201, rule="simpson") - exact)
-    assert err_s < err_t / 100.0
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    half=st.integers(4, 800),
-    log_lo=st.floats(-8.0, 8.0),
-    log_hi=st.floats(-8.0, 8.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_quadrature_simpson_matches_scipy_bit_for_bit(half, log_lo, log_hi, seed):
-    """The in-package Simpson sum is scipy.integrate.simpson's, to the last bit,
-    on odd node counts 9..1601 with magnitudes from 1e-8 to 1e8."""
-    grid = make_grid(2 * half + 1)
-    rng = np.random.default_rng(seed)
-    magnitudes = 10.0 ** rng.uniform(min(log_lo, log_hi), max(log_lo, log_hi), grid.n)
-    vals = rng.standard_normal(grid.n) * magnitudes
-    assert quadrature(vals, grid, "simpson") == float(scipy.integrate.simpson(vals, dx=grid.dx))
-
-
 def test_quadrature_length_mismatch(grid201):
     with pytest.raises(ValueError):
         quadrature(np.ones(100), grid201)
-    with pytest.raises(ValueError):
-        quadrature(np.ones(201), grid201, rule="gauss")
 
 
 # h1_norm is the discrete Sobolev norm H^1: sqrt(int h^2 + int |d1 h|^2)
@@ -282,12 +254,11 @@ def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials
 @given(
     n=st.sampled_from([9, 201, 801]),
     k=st.sampled_from([1, 2, 63, 64, 65]),
-    rule=st.sampled_from(["trapezoid", "simpson"]),
     layout=st.sampled_from(["contiguous", "rows-of-a-buffer", "fortran"]),
     seed=st.integers(0, 2**32 - 1),
     specials=st.lists(_SPECIAL, max_size=40),
 )
-def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, rule, layout, seed, specials):
+def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, layout, seed, specials):
     """derivative, quadrature, energy and dissipation take a (k, n) stack
     through csr_matvecs and row-wise reductions, and h1_norm through one
     csr_matvec over k block-diagonal copies of the order-1 operator; every
@@ -312,15 +283,15 @@ def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, rule, layout, see
         for row, got in zip(rows, stacked):
             assert got.tobytes() == derivative(row, grid.dx, order).tobytes()
     per_field = {
-        "quadrature": [quadrature(row, grid, rule) for row in rows],
-        "energy": [energy(row, grid, 1.5, rule) for row in rows],
-        "dissipation": [dissipation(row, grid, rule) for row in rows],
+        "quadrature": [quadrature(row, grid) for row in rows],
+        "energy": [energy(row, grid, 1.5) for row in rows],
+        "dissipation": [dissipation(row, grid) for row in rows],
         "h1_norm": [h1_norm(row, grid) for row in rows],
     }
     stacked = {
-        "quadrature": quadrature(stack, grid, rule),
-        "energy": energy(stack, grid, 1.5, rule),
-        "dissipation": dissipation(stack, grid, rule),
+        "quadrature": quadrature(stack, grid),
+        "energy": energy(stack, grid, 1.5),
+        "dissipation": dissipation(stack, grid),
         "h1_norm": h1_norm(stack, grid),
     }
     for name, values in per_field.items():
