@@ -48,10 +48,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         help="emit per-step flux energy diagnostics CSV",
     )
     parser.add_argument(
-        "--cn", action="store_true", default=None, dest="crank_nicolson",
-        help="Crank-Nicolson time stepping instead of backward Euler",
-    )
-    parser.add_argument(
         "--config", type=Path, default=None, metavar="FILE",
         help="JSON file with solver parameters; flags override it",
     )
@@ -117,6 +113,8 @@ def _sweep_worker(payload: tuple[SolverConfig, str, str, int]) -> dict | str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     pressures = [float(p) for p in args.pressures.split(",") if p.strip()]
     if not pressures:
         print("sweep needs at least one pressure", file=sys.stderr)
@@ -135,11 +133,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cfg = _solver_config(argparse.Namespace(**{**vars(args), "pressure": p}))
         payloads.append((cfg, args.ic, str(out_root / name), args.seed))
 
-    if args.workers > 1:
+    # a fork-based pool starts all its workers at once: no more than the jobs
+    workers = min(args.workers, len(payloads))
+    if workers > 1:
         # imported here: multiprocessing would otherwise load on every command
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_worker, payloads))
     else:
         reports = [_sweep_worker(pl) for pl in payloads]

@@ -69,7 +69,6 @@ class SolverConfig:
     pinch_floor: float = 1e-3
     output_every: int = 100
     flux_diagnostics: bool = False
-    crank_nicolson: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -213,10 +212,7 @@ def step_nonlinear(
     prev = _predictor(values, history, ws)
     for iteration in range(1, cfg.picard_max + 1):
         g = _mobility(prev, cfg, ws.mobility)
-        result = step_linear(
-            values, grid, g, cfg.dt, cfg.pressure,
-            crank_nicolson=cfg.crank_nicolson, workspace=ws,
-        )
+        result = step_linear(values, grid, g, cfg.dt, cfg.pressure, workspace=ws)
         np.subtract(result.values, prev, out=ws.pair[0])
         ws.pair[1] = result.values
         delta, norm = h1_norm(ws.pair, grid).tolist()

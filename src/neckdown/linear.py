@@ -42,11 +42,8 @@ class LinearSolveError(RuntimeError):
     """Banded solve failed or produced an unacceptable residual."""
 
 
-def _band_product(ab: np.ndarray, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
-    """A x for A in (5, n) band storage, in workspace's product buffer when
-    given."""
-    if workspace is None:
-        return _row_sums(ab * x)
+def _band_product(ab: np.ndarray, x: np.ndarray, workspace: Workspace) -> np.ndarray:
+    """A x for A in (5, n) band storage, in workspace's product buffer."""
     np.multiply(ab, x, out=workspace.product)
     return _row_sums(workspace.product, workspace.product_views)
 
@@ -257,26 +254,18 @@ def step_linear(
     mobility: np.ndarray,
     dt: float,
     pressure: float,
-    crank_nicolson: bool = False,
     workspace: Workspace | None = None,
 ) -> StepResult:
     """Advance the frozen-coefficient problem one implicit step from the
     nodal values h_old, which are only read, in workspace or in a fresh
     Workspace(grid, pressure); the returned values are a new array.
 
-    Backward Euler by default; with crank_nicolson=True the interior rows use
-    the trapezoidal split (I + dt/2 L) h_new = h_old - dt/2 L h_old, which is
-    second order in time for accuracy studies; its right side is
-    2 h_old - A h_old with A = I + dt/2 L the assembled band.  Boundary rows
-    are enforced at the new time either way.
+    The step is backward Euler, (I + dt L_g) h_new = h_old on the interior
+    rows, with the boundary rows enforced at the new time.
     """
     ws = workspace or Workspace(grid, pressure)
-    dt_eff = 0.5 * dt if crank_nicolson else dt
-    ab, rhs = assemble_operator(mobility, grid, dt_eff, pressure, ws)
-    if crank_nicolson:
-        rhs[2:-2] = 2.0 * values[2:-2] - _band_product(ab, values, ws)[2:-2]
-    else:
-        rhs[2:-2] = values[2:-2]
+    ab, rhs = assemble_operator(mobility, grid, dt, pressure, ws)
+    rhs[2:-2] = values[2:-2]
 
     # h(-1) = h(1) = 1 (rhs rows 0 and n-1): move columns 0 and n-1 into the
     # rhs of rows 1, 2 and n-3, n-2, so that no row swap mixes a value row

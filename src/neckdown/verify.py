@@ -72,7 +72,7 @@ def mode_shape(grid: Grid, k: int) -> np.ndarray:
 
 
 def eigenmode_amplitudes(
-    grid: Grid, k: int, dt: float, steps: int, measure=None, crank_nicolson: bool = False
+    grid: Grid, k: int, dt: float, steps: int, measure=None
 ) -> tuple[float, float]:
     """Amplitude of mode k before and after `steps` linear steps with g = 1,
     from the P = 1 parabola plus 1e-3 times the mode; the mode decays at the
@@ -91,7 +91,7 @@ def eigenmode_amplitudes(
     a0 = measure(h - base, grid)
     workspace = Workspace(grid, 1.0)
     for _ in range(steps):
-        h = step_linear(h, grid, ones, dt, 1.0, crank_nicolson, workspace).values
+        h = step_linear(h, grid, ones, dt, 1.0, workspace).values
     return a0, measure(h - base, grid)
 
 

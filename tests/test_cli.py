@@ -1,5 +1,6 @@
 """Tests for config resolution, run artifacts, and the command line."""
 
+import argparse
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from neckdown.cli import _solver_config, build_parser, main
+from neckdown.cli import _add_solver_flags, _solver_config, build_parser, main
 from neckdown.evolve import RunStart, SolverConfig
 from neckdown.grid import make_grid
 from neckdown.initial import ic_steady
@@ -330,12 +331,14 @@ def test_checkpoint_roundtrip_and_mismatch(tmp_path):
     assert traj.end.step == int(traj.snapshot_steps[-1])
     assert len(traj.end.history) == 2
     state = json.loads(manifest.checkpoint.read_text())
-    assert "time" not in state and "simpson" not in state["config"]
+    assert "time" not in state
+    assert "simpson" not in state["config"] and "crank_nicolson" not in state["config"]
     # an older checkpoint's time key is ignored, as the time is step * dt, and
-    # so is its config's simpson key, as the trapezoid is the one quadrature
+    # so are its config's simpson and crank_nicolson keys, as the trapezoid
+    # is the one quadrature and backward Euler the one time scheme
     older = tmp_path / "older.json"
-    older.write_text(json.dumps(
-        {**state, "time": 123.0, "config": {**state["config"], "simpson": False}}))
+    older.write_text(json.dumps({**state, "time": 123.0, "config": {
+        **state["config"], "simpson": False, "crank_nicolson": False}}))
     for path in (manifest.checkpoint, older):
         profile, start = load_checkpoint(path, cfg)
         assert profile.values.tobytes() == traj.final.values.tobytes()
@@ -757,6 +760,42 @@ def test_cli_sweep_keeps_the_batch_when_a_job_fails(tmp_path, capsys, workers):
     assert (tmp_path / "sweep" / "P1" / "report.json").exists()
 
 
+def test_cli_sweep_pool_has_at_most_one_worker_per_job(tmp_path, capsys, monkeypatch):
+    """The pool gets min(--workers, jobs) processes, and --workers below 1
+    exits 2 naming the flag.  A fake pool records its size and maps the jobs
+    in this process, so the test starts none."""
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    common = ["sweep", "--dt", "1e-4", "--t-final", "1e-3", "--epsilon", "1e-2"]
+    assert main([*common, "--pressures", "1,1.5", "--workers", "4",
+                 "--out-dir", str(tmp_path / "two")]) == 0
+    assert sizes == [2]
+    assert main([*common, "--pressures", "1", "--workers", "4",
+                 "--out-dir", str(tmp_path / "one")]) == 0
+    assert sizes == [2]
+    capsys.readouterr()
+    assert main([*common, "--pressures", "1,1.5", "--workers", "0",
+                 "--out-dir", str(tmp_path / "none")]) == 2
+    assert "--workers must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
     "pressures, named",
@@ -788,7 +827,7 @@ NON_DEFAULT_SOLVER_FLAGS = [
     "--pressure", "2.5", "--epsilon", "0.03", "--n", "301", "--dt", "2e-4",
     "--t-final", "0.7", "--picard-tol", "1e-6", "--picard-max", "7",
     "--pinch-floor", "2e-3", "--output-every", "9",
-    "--flux-diagnostics", "--cn",
+    "--flux-diagnostics",
 ]
 
 
@@ -801,7 +840,6 @@ def test_every_solver_field_is_set_by_its_flag(command):
     assert cfg == SolverConfig(
         pressure=2.5, epsilon=0.03, n=301, dt=2e-4, t_final=0.7, picard_tol=1e-6,
         picard_max=7, pinch_floor=2e-3, output_every=9, flux_diagnostics=True,
-        crank_nicolson=True,
     )
     for field in fields(SolverConfig):
         assert getattr(cfg, field.name) != field.default, field.name
@@ -877,18 +915,36 @@ def test_cli_checkpoint_restore_roundtrip(tmp_path):
     assert report["steps"] == 100
 
 
-def test_cli_has_no_quadrature_option(tmp_path, capsys):
-    """The trapezoid is the one quadrature: --simpson is no flag, and a
-    config file that sets simpson names it as an unknown key."""
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--pressure", "1", "--simpson", "--out-dir", str(tmp_path / "a")])
-    assert exc.value.code == 2
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"pressure": 1.0, "simpson": False}))
-    capsys.readouterr()
-    assert main(["run", "--config", str(cfg_file), "--out-dir", str(tmp_path / "b")]) == 2
-    assert "unknown config file keys: ['simpson']" in capsys.readouterr().err
-    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+def test_cli_has_no_quadrature_or_time_scheme_option(tmp_path, capsys):
+    """The trapezoid is the one quadrature and backward Euler the one time
+    scheme: --simpson and --cn are no flags, and a config file that sets
+    simpson or crank_nicolson names it as an unknown key."""
+    for flag, key in (("--simpson", "simpson"), ("--cn", "crank_nicolson")):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--pressure", "1", flag, "--out-dir", str(tmp_path / "a")])
+        assert exc.value.code == 2
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"pressure": 1.0, key: False}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_file), "--out-dir", str(tmp_path / "b")]) == 2
+        assert f"unknown config file keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_readme_lists_exactly_the_solver_flags():
+    """README's CLI section names the flags that _add_solver_flags gives
+    every solver subcommand, so that adding or removing one cannot leave it
+    stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    sentence = cli_section.split("All solver flags are shared across subcommands:", 1)[1]
+    sentence = sentence.split(".\n", 1)[0]
+    listed = set(re.findall(r"`(--[a-z-]+)`", sentence))
+    parser = argparse.ArgumentParser()
+    _add_solver_flags(parser)
+    flags = {option for action in parser._actions for option in action.option_strings
+             if option.startswith("--") and option != "--help"}
+    assert listed == flags
 
 
 def test_cli_restores_a_checkpoint_whose_film_went_negative(tmp_path):

@@ -70,7 +70,7 @@ def test_band_matvec_matches_dense(grid201):
             dense[i, j] = ab[2 + i - j, j]
     x = rng.standard_normal(n)
     np.testing.assert_allclose(
-        linear._band_product(ab, x), dense @ x, rtol=1e-13, atol=1e-13
+        linear._band_product(ab, x, Workspace(grid201, 1.0)), dense @ x, rtol=1e-13, atol=1e-13
     )
 
 
@@ -86,15 +86,14 @@ def test_assemble_rejects_bad_inputs(grid201):
         assemble_operator(np.ones(13), grid201, 1e-5, 1.0)
 
 
-@pytest.mark.parametrize("crank_nicolson", [False, True])
-def test_nan_mobility_is_rejected(grid201, crank_nicolson):
+def test_nan_mobility_is_rejected(grid201):
     g = np.ones(grid201.n)
     g[57] = np.nan
     with pytest.raises(ValueError, match="mobility must be positive"):
         assemble_operator(g, grid201, 1e-5, 1.0)
     h = steady_profile(1.0, grid201)
     with pytest.raises(ValueError, match="mobility must be positive"):
-        step_linear(h, grid201, g, 1e-5, 1.0, crank_nicolson=crank_nicolson)
+        step_linear(h, grid201, g, 1e-5, 1.0)
 
 
 def test_assembled_arrays_are_not_shared_between_calls(grid201):
@@ -145,25 +144,12 @@ def test_step_residual_gate(grid201):
 
 
 def test_single_step_mode_decay_factors(grid201):
-    """One backward Euler step damps eigenmode k by 1/(1 + dt (k pi/2)^4)."""
-    dt = 1e-3
-    for k, rtol in ((1, 1e-4), (2, 1e-3)):
+    """One backward Euler step damps eigenmode k by 1/(1 + z), with
+    z = dt (k pi/2)^4."""
+    for k, dt, rtol in ((1, 1e-3, 1e-4), (2, 1e-3, 1e-3), (1, 1e-2, 1e-4)):
         a0, a1 = eigenmode_amplitudes(grid201, k, dt, 1)
         expected = 1.0 / (1.0 + dt * k**4 * MODE_RATE)
         assert a1 / a0 == pytest.approx(expected, rel=rtol)
-
-
-def test_crank_nicolson_amplification_is_second_order(grid201):
-    dt = 1e-2
-    a0, a1_cn = eigenmode_amplitudes(grid201, 1, dt, 1, crank_nicolson=True)
-    _, a1_be = eigenmode_amplitudes(grid201, 1, dt, 1)
-    cn_meas = a1_cn / a0
-    be_meas = a1_be / a0
-    z = dt * MODE_RATE
-    assert cn_meas == pytest.approx((1.0 - z / 2.0) / (1.0 + z / 2.0), rel=1e-4)
-    assert be_meas == pytest.approx(1.0 / (1.0 + z), rel=1e-4)
-    exact = np.exp(-z)
-    assert abs(cn_meas - exact) < abs(be_meas - exact) / 10.0
 
 
 def test_interior_mass_telescopes_to_boundary_fluxes(grid201):
@@ -470,12 +456,9 @@ def test_solve_writes_the_solution_into_the_returned_values(grid201, monkeypatch
     g_hi=st.floats(1e-4, 3.0),
     log_dt=st.floats(-7.0, -2.0),
     pressure=st.floats(0.5, 4.0),
-    crank_nicolson=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_backward_error_uses_dense_infinity_norm(
-    n, g_lo, g_hi, log_dt, pressure, crank_nicolson, seed
-):
+def test_backward_error_uses_dense_infinity_norm(n, g_lo, g_hi, log_dt, pressure, seed):
     """backward_error = ||A x - b|| / (||A|| ||x|| + ||b||) in the infinity
     norm, with ||A|| the largest row sum of the dense |A|."""
     grid = make_grid(n)
@@ -483,14 +466,9 @@ def test_backward_error_uses_dense_infinity_norm(
     g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
     dt = 10.0**log_dt
     h = 1.0 + 0.1 * rng.standard_normal(n)
-    out = step_linear(h, grid, g, dt, pressure, crank_nicolson=crank_nicolson)
-    dt_eff = 0.5 * dt if crank_nicolson else dt
-    ab, rhs = assemble_operator(g, grid, dt_eff, pressure)
+    out = step_linear(h, grid, g, dt, pressure)
+    ab, rhs = assemble_operator(g, grid, dt, pressure)
     rhs[2:-2] = h[2:-2]
-    if crank_nicolson:
-        # h - dt/2 L h = 2 h - (I + dt/2 L) h on the interior rows
-        band_h = _reference_band_product(ab, h)
-        rhs[2:-2] = 2.0 * h[2:-2] - band_h[2:-2]
     a_norm = np.max(np.abs(band_to_dense(ab)).sum(axis=1))
     x_norm = np.max(np.abs(out.values))
     b_norm = np.max(np.abs(rhs))
@@ -540,47 +518,41 @@ def _reference_assembly(g, grid, dt, pressure):
     g_hi=st.floats(1e-4, 3.0),
     log_dt=st.floats(-7.0, -2.0),
     pressure=st.floats(0.5, 4.0),
-    crank_nicolson=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_matches_whole_array_formulation_bit_for_bit(
-    n, g_lo, g_hi, log_dt, pressure, crank_nicolson, seed
-):
+def test_step_matches_whole_array_formulation_bit_for_bit(n, g_lo, g_hi, log_dt, pressure, seed):
     """The in-place assembly and the gate's norms give the bits of the
     whole-array expressions they replaced, in every output; the solution's
     reference is the reduced solve.  A workspace that already served a
-    solve with another mobility, dt and scheme gives the same bytes as a
-    fresh one."""
+    solve with another mobility and dt gives the same bytes as a fresh
+    one."""
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
     g = rng.uniform(min(g_lo, g_hi), max(g_lo, g_hi), n)
     dt = 10.0**log_dt
     h = 1.0 + 0.1 * rng.standard_normal(n)
-    dt_eff = 0.5 * dt if crank_nicolson else dt
 
-    ab, rhs = _reference_assembly(g, grid, dt_eff, pressure)
-    assembled_ab, assembled_rhs = assemble_operator(g, grid, dt_eff, pressure)
+    ab, rhs = _reference_assembly(g, grid, dt, pressure)
+    assembled_ab, assembled_rhs = assemble_operator(g, grid, dt, pressure)
     assert assembled_ab.tobytes() == ab.tobytes()
     assert assembled_rhs.tobytes() == rhs.tobytes()
 
     rhs[2:-2] = h[2:-2]
-    if crank_nicolson:
-        rhs[2:-2] = 2.0 * h[2:-2] - _reference_band_product(ab, h)[2:-2]
     x = reduced_solve(ab, rhs)
     a_norm = float(np.max(_reference_band_product(np.abs(ab), np.ones(n))))
     residual = float(np.max(np.abs(_reference_band_product(ab, x) - rhs)))
     rhs_norm = float(np.max(np.abs(rhs)))
     x_norm = float(np.max(np.abs(x)))
 
-    out = step_linear(h, grid, g, dt, pressure, crank_nicolson=crank_nicolson)
+    out = step_linear(h, grid, g, dt, pressure)
     assert out.values.tobytes() == x.tobytes()
     assert out.solver_residual == residual
     assert out.backward_error == residual / (a_norm * x_norm + rhs_norm)
 
     workspace = Workspace(grid, pressure)
     step_linear(1.0 + 0.1 * rng.standard_normal(n), grid, g[::-1] + 0.5, 2.0 * dt,
-                pressure, not crank_nicolson, workspace)
-    reused = step_linear(h, grid, g, dt, pressure, crank_nicolson, workspace)
+                pressure, workspace)
+    reused = step_linear(h, grid, g, dt, pressure, workspace)
     assert reused.values.tobytes() == out.values.tobytes()
     assert reused.solver_residual.hex() == out.solver_residual.hex()
     assert reused.backward_error.hex() == out.backward_error.hex()
