@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .evolve import SolverConfig, Termination, epsilon_continuation
@@ -128,10 +129,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if clashes:
         raise ValueError(f"pressures would share a job directory: {'; '.join(clashes)}")
     out_root = args.out_dir if args.out_dir is not None else default_out_dir()
-    payloads = []
+    # the shared flags are checked once, at a stand-in pressure; a pressure
+    # that check_pressure rejects is its own job's error
+    shared = _solver_config(argparse.Namespace(**{**vars(args), "pressure": 1.0}))
+    reports: dict[str, dict | str] = {}
+    payloads = {}
     for name, (p,) in jobs.items():
-        cfg = _solver_config(argparse.Namespace(**{**vars(args), "pressure": p}))
-        payloads.append((cfg, args.ic, str(out_root / name), args.seed))
+        try:
+            payloads[name] = (replace(shared, pressure=p), args.ic, str(out_root / name), args.seed)
+        except ValueError as exc:
+            reports[name] = str(exc)
 
     # a fork-based pool starts all its workers at once: no more than the jobs
     workers = min(args.workers, len(payloads))
@@ -140,14 +147,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_worker, payloads))
+            reports.update(zip(payloads, pool.map(_sweep_worker, payloads.values())))
     else:
-        reports = [_sweep_worker(pl) for pl in payloads]
+        reports.update((name, _sweep_worker(pl)) for name, pl in payloads.items())
 
     out_root.mkdir(parents=True, exist_ok=True)
     lines = ["pressure,termination,t_end,energy_final,pinched,t_pinch"]
     ok = True
-    for p, rep in zip(pressures, reports):
+    for name, (p,) in jobs.items():
+        rep = reports[name]
         if isinstance(rep, str):
             print(f"error: pressure {p:g}: {rep}", file=sys.stderr)
             ok = False

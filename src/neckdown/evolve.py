@@ -4,9 +4,10 @@ Each step freezes the mobility at the current Picard iterate, g = sqrt(h^2 +
 eps^2) (or a floored copy of h when eps = 0), solves the implicit linear
 problem, and repeats until the iterates settle in H^1.  The first iterate is
 extrapolated from the last accepted states, so a smooth run usually settles
-after one solve.  Runs log an energy ledger every step, evaluated once per
-block of accepted states, and snapshots on a stride, and stop on reaching the
-final time, on the minimum height crossing the pinch floor, or on failure.
+after one solve; no step carries anything else to the next.  Runs log an
+energy ledger every step, evaluated once per block of accepted states, and
+snapshots on a stride, and stop on reaching the final time, on the minimum
+height crossing the pinch floor, or on failure.
 """
 
 from __future__ import annotations
@@ -183,7 +184,6 @@ def step_nonlinear(
     grid: Grid,
     cfg: SolverConfig,
     history: tuple[np.ndarray, ...] = (),
-    scale: float | None = None,
     workspace: Workspace | None = None,
 ) -> tuple[StepResult, int]:
     """One implicit step from the nodal values h_old, with coefficient-lagged
@@ -191,15 +191,14 @@ def step_nonlinear(
 
     The iteration starts from the extrapolation of h_old through history,
     the values of up to two accepted states before h_old, oldest first; the
-    stop test compares successive iterates whatever the start, relative to
-    scale, the H^1 norm of h_old, taken here when not given.  Each iterate
-    takes the H^1 norms of its update and of itself in one call; the
-    accepted iterate's norm is left in the workspace's accepted_norm for
-    the next step's scale.  The step fills workspace, or a fresh
-    Workspace(grid, cfg.pressure).  Returns the accepted step and the number
-    of iterations used (one banded solve each).  Raises
-    PicardConvergenceError when picard_max iterations do not settle to
-    picard_tol relative in H^1, and LinearSolveError on solver trouble.
+    stop test compares successive iterates whatever the start: an iterate
+    is accepted when its update is at most picard_tol times its own H^1
+    norm, both taken in one call.  The step depends on values and history
+    alone, and fills workspace, or a fresh Workspace(grid, cfg.pressure).
+    Returns the accepted step and the number of iterations used (one banded
+    solve each).  Raises PicardConvergenceError when picard_max iterations
+    do not settle to picard_tol relative in H^1, and LinearSolveError on
+    solver trouble.
     """
     if cfg.epsilon == 0.0 and values.min() <= cfg.pinch_floor:
         raise ValueError(
@@ -207,8 +206,6 @@ def step_nonlinear(
         )
     ws = workspace or Workspace(grid, cfg.pressure)
     ws.check(grid, cfg.pressure)
-    if scale is None:
-        scale = h1_norm(values, grid)
     prev = _predictor(values, history, ws)
     for iteration in range(1, cfg.picard_max + 1):
         g = _mobility(prev, cfg, ws.mobility)
@@ -217,12 +214,11 @@ def step_nonlinear(
         ws.pair[1] = result.values
         delta, norm = h1_norm(ws.pair, grid).tolist()
         prev = result.values
-        if delta <= cfg.picard_tol * scale:
-            ws.accepted_norm = norm
+        if delta <= cfg.picard_tol * norm:
             return result, iteration
     raise PicardConvergenceError(
         f"no convergence in {cfg.picard_max} iterations "
-        f"(last H1 update {delta:.3e} vs tolerance {cfg.picard_tol * scale:.3e})"
+        f"(last H1 update {delta:.3e} vs tolerance {cfg.picard_tol * norm:.3e})"
     )
 
 
@@ -282,11 +278,11 @@ class _StepDiagnostics:
     flux_diagnostics.  Each starts with room for one block and grows with
     the run through _room, so no step bound is needed before the first
     step.  The per-step diagnostics are evaluated once per block of
-    accepted states: the ledger row (energy, dissipation, and the running
-    integral of the dissipation at each step's midpoint), the nodal minimum
-    and, under flux_diagnostics, the flux row.  states holds the state
-    before the block in row 0 and the block's accepted states after it;
-    flush evaluates them with one call per functional on the stack, each row
+    accepted states: the ledger row (energy, dissipation D, and its integral
+    by the trapezoid on the D column), the nodal minimum and, under
+    flux_diagnostics, the flux row.  states holds the state before the
+    block in row 0 and the block's accepted states after it; flush
+    evaluates them with one call per functional on the stack, each row
     getting the bits of its own 1-D call, writes the block's ledger and flux
     rows, summing the integral step by step, in order, and copies its
     states on the stride to the snapshot stack.  The start state is
@@ -308,7 +304,6 @@ class _StepDiagnostics:
         self.states[0] = h0.values
         self.times: list[float] = []    # the block's times and Picard counts
         self.iters: list[int] = []
-        self.midpoints = np.empty((BLOCK, grid.n))
         self.max_residual = 0.0
         start_row = self._evaluate(self.states[:1], [t], [0])
         start_row["cumulative_dissipation"] = start.cumulative_dissipation
@@ -357,14 +352,11 @@ class _StepDiagnostics:
             return
         cfg, grid = self.cfg, self.grid
         block = self.states[: m + 1]
-        midpoints = self.midpoints[:m]
-        np.add(block[:-1], block[1:], out=midpoints)
-        midpoints *= 0.5
-        increments = cfg.dt * dissipation(midpoints, grid)
         self._evaluate(block[1:], self.times, self.iters)
-        # the row before the block holds the integral the block continues
-        cum = self.ledger["cumulative_dissipation"][self.rows - m - 1 : self.rows]
-        cum[1:] = increments
+        # the row before the block holds the D and the integral it continues
+        rows = self.ledger[self.rows - m - 1 : self.rows]
+        d, cum = rows["dissipation"], rows["cumulative_dissipation"]
+        cum[1:] = cfg.dt * (0.5 * (d[:-1] + d[1:]))
         np.add.accumulate(cum, out=cum)
         if cfg.flux_diagnostics:
             _room(self.flux, self.fluxes + m)
@@ -429,7 +421,6 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     record = _StepDiagnostics(cfg, h0, start.step * cfg.dt, start)
     workspace = Workspace(grid, cfg.pressure)
     h = h0.values
-    scale = None                # H^1 norm of h, once a step has taken it
     history = start.history
     k = start.step
     failure_message = None
@@ -441,7 +432,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
             termination = Termination.REACHED_T_FINAL
             break
         try:
-            result, iters = step_nonlinear(h, grid, cfg, history, scale, workspace)
+            result, iters = step_nonlinear(h, grid, cfg, history, workspace)
         except PicardConvergenceError as exc:
             termination, failure_message = Termination.PICARD_FAILURE, str(exc)
             break
@@ -451,7 +442,6 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
         k += 1
         history = (*history[-1:], h)
         h = result.values
-        scale = workspace.accepted_norm
         record.push(h, k * cfg.dt, iters, result.solver_residual)
     return record.trajectory(termination, failure_message, history)
 

@@ -27,7 +27,7 @@ def dissipation(values: np.ndarray, grid: Grid) -> float | np.ndarray:
 
     Clipping keeps the reported rate nonnegative when roundoff or a
     regularized run lets a node dip below zero.  It takes raw values, as
-    h1_norm does, so the run loop's midpoints need no Profile.  The
+    h1_norm does, so the run's block of states needs no Profile.  The
     products h * d3 * d3 are taken in place, in that order, so a stack
     holds few temporaries at once.
     """

@@ -98,8 +98,7 @@ class Workspace:
     (7, n-2) buffer and product the (5, n) band product.  predictor,
     mobility and pair are evolve.step_nonlinear's Picard buffers (pair holds
     an iterate's update and the iterate, whose H^1 norms are taken in one
-    call), and accepted_norm is the H^1 norm of the values its last step
-    accepted.  A workspace serves one node count and pressure; check raises
+    call).  A workspace serves one node count and pressure; check raises
     ValueError on any other.
     """
 
@@ -132,7 +131,6 @@ class Workspace:
         self.predictor = np.empty(n)
         self.mobility = np.empty(n)
         self.pair = np.empty((2, n))
-        self.accepted_norm: float | None = None
 
     def check(self, grid: Grid, pressure: float) -> None:
         """ValueError unless grid and pressure are the ones it was built for."""

@@ -472,6 +472,38 @@ def test_split_run_continues_bit_for_bit(tmp_path):
     )
 
 
+def assert_ledger_balances(out_dir: Path, cum: float) -> None:
+    """ledger.csv's cum_dissipation starts at cum and grows each row by dt
+    times the trapezoid of its own dissipation column, dt read from
+    report.json: the balance checked from the artifacts alone."""
+    dt = json.loads((out_dir / "report.json").read_text())["manifest"]["config"]["dt"]
+    header, *lines = (out_dir / "ledger.csv").read_text().splitlines()
+    d, c = header.split(",").index("dissipation"), header.split(",").index("cum_dissipation")
+    rows = [[float(v) for v in line.split(",")] for line in lines]
+    assert rows[0][c] == cum
+    for prev, row in zip(rows, rows[1:]):
+        cum += dt * (0.5 * (prev[d] + row[d]))
+        assert row[c] == cum
+
+
+def test_ledger_balances_from_its_own_artifacts(tmp_path):
+    """A whole run of 150 steps (three blocks) and the same run split at
+    step 70, mid-block: each ledger re-sums exactly, the resumed one from
+    the value its checkpoint stores."""
+    argv = ["run", "--pressure", "1.5", "--epsilon", "1e-2", "--n", "51", "--dt", "1e-4",
+            "--ic", "steady-perturbed-poly:0.3"]
+    mid = tmp_path / "mid.json"
+    assert main([*argv, "--t-final", "0.015", "--out-dir", str(tmp_path / "whole")]) == 0
+    assert main([*argv, "--t-final", "0.007", "--out-dir", str(tmp_path / "first"),
+                 "--checkpoint", str(mid)]) == 0
+    assert main([*argv, "--t-final", "0.015", "--out-dir", str(tmp_path / "second"),
+                 "--restore", str(mid)]) == 0
+    assert_ledger_balances(tmp_path / "whole", 0.0)
+    assert_ledger_balances(tmp_path / "first", 0.0)
+    resumed_from = json.loads(mid.read_text())["cumulative_dissipation"]
+    assert_ledger_balances(tmp_path / "second", resumed_from)
+
+
 def test_cli_run_writes_and_exits_zero(tmp_path, capsys):
     rc = main(
         [
@@ -758,6 +790,32 @@ def test_cli_sweep_keeps_the_batch_when_a_job_fails(tmp_path, capsys, workers):
         capsys.readouterr().err
     )
     assert (tmp_path / "sweep" / "P1" / "report.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_records_a_rejected_pressure_as_its_job_error(tmp_path, capsys, workers):
+    """A pressure that is zero, negative, nan or inf fails its own job, as a
+    row of the summary, while the other jobs run; the sweep exits 3.  An
+    error in the shared flags still exits 2 before any job runs."""
+    common = ["sweep", "--workers", workers, "--n", "51", "--dt", "1e-3", "--t-final", "0.005"]
+    rc = main([*common, "--pressures", "1,0,-1,1.5,nan,inf", "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 3
+    summary = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
+    assert [row.split(",", 2)[:2] for row in summary[1:]] == [
+        ["1", "reached-t-final"], ["0", "error"], ["-1", "error"],
+        ["1.5", "reached-t-final"], ["nan", "error"], ["inf", "error"],
+    ]
+    err = capsys.readouterr().err
+    for p in ("0", "-1", "nan", "inf"):
+        assert f"error: pressure {p}: pressure must be finite" in err
+    assert sorted(d.name for d in (tmp_path / "sweep").iterdir()) == ["P1", "P1.5", "summary.csv"]
+    assert (tmp_path / "sweep" / "P1.5" / "report.json").exists()
+
+    rc = main([*common, "--pressures", "1,-1", "--epsilon", "-1",
+               "--out-dir", str(tmp_path / "bad")])
+    assert rc == 2
+    assert "epsilon must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_sweep_pool_has_at_most_one_worker_per_job(tmp_path, capsys, monkeypatch):

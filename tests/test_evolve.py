@@ -234,7 +234,7 @@ def test_run_energy_ledger_is_monotone_and_balanced(short_traj):
     assert np.all(increments <= 1e-14)
     assert np.all(np.diff(C) >= 0.0)
     assert drop > 0
-    # midpoint-rule time integral of the dissipation tracks the energy drop
+    # trapezoid-in-time integral of the dissipation tracks the energy drop
     assert abs(drop - C[-1]) < 1e-2 * drop
 
 
@@ -376,25 +376,25 @@ def test_resumed_ledger_times_match_unsplit_run():
 def per_step_diagnostics(traj: Trajectory, cum: float = 0.0) -> list[np.ndarray]:
     """traj's ledger rows, minimum series and flux reports recomputed the way
     the step loop logged them before block evaluation: one state or one
-    step per call, with the dissipation integral summed in order from cum.
-    traj must keep every state (output_every = 1)."""
+    step per call, with the dissipation integral summed in order from cum
+    by the trapezoid on the states' own dissipations.  traj must keep every
+    state (output_every = 1)."""
     cfg, grid = traj.config, traj.grid
     steps = traj.snapshot_steps.tolist()
     assert steps == list(range(steps[0], steps[-1] + 1))
     ledger, mins, flux = [], [], [np.empty((0, 4))]
-    prev = None
+    prev = D_prev = None
     for k, h in zip(steps, traj.snapshots):
         t = k * cfg.dt
+        D_h = dissipation(h, grid)
         if prev is not None:
-            cum += cfg.dt * dissipation(0.5 * (prev + h), grid)
+            cum += cfg.dt * (0.5 * (D_prev + D_h))
             if cfg.flux_diagnostics:
                 g = np.stack([_mobility(prev, cfg), _mobility(h, cfg)])
                 flux.append(flux_energy_report(np.stack([prev, h]), g, grid, cfg.dt, [t]))
-        ledger.append(
-            (t, energy(h, grid, cfg.pressure), dissipation(h, grid), cum)
-        )
+        ledger.append((t, energy(h, grid, cfg.pressure), D_h, cum))
         mins.append((t, *min_value(Profile(grid=grid, values=h, pressure=cfg.pressure))))
-        prev = h
+        prev, D_prev = h, D_h
     return [np.array(ledger), np.array(mins), np.concatenate(flux)]
 
 
