@@ -40,8 +40,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--dt", type=float, default=None)
     parser.add_argument("--t-final", type=float, default=None)
-    parser.add_argument("--picard-tol", type=float, default=None)
-    parser.add_argument("--picard-max", type=int, default=None)
     parser.add_argument("--pinch-floor", type=float, default=None)
     parser.add_argument("--output-every", type=int, default=None)
     parser.add_argument(

@@ -1,13 +1,15 @@
 """Nonlinear time stepping, trajectories, and theorem-level diagnostics.
 
-Each step freezes the mobility at the current Picard iterate, g = sqrt(h^2 +
-eps^2) (or a floored copy of h when eps = 0), solves the implicit linear
-problem, and repeats until the iterates settle in H^1.  The first iterate is
-extrapolated from the last accepted states, so a smooth run usually settles
-after one solve; no step carries anything else to the next.  Runs log an
-energy ledger every step, evaluated once per block of accepted states, and
-snapshots on a stride, and stop on reaching the final time, on the minimum
-height crossing the pinch floor, or on failure.
+Each step is the linearly implicit backward Euler of Akrivis, Crouzeix &
+Makridakis (Numer. Math. 82, 1999): the mobility g = sqrt(h^2 + eps^2) (or a
+floored copy of h when eps = 0) is taken at the predictor, the polynomial
+through the last accepted states extrapolated one step, and one banded
+solve of the implicit linear problem gives the new state.  No step carries
+anything but that history to the next.  Runs log an energy ledger every
+step, evaluated once per block of accepted states, with each state's
+distance from its predictor, and snapshots on a stride, and stop on
+reaching the final time, on the minimum height crossing the pinch floor,
+or on solver failure.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ PINCH_TAIL_ROWS = 50         # trailing min-series rows of detect_pinch's ln h_m
 DECAY_FIT_MIN_POINTS = 20    # snapshots decay_rate needs in the run's second half
 BLOCK = 64                   # accepted states per evaluation of the per-step diagnostics
 
-# a run's ledger row: the columns of io.LEDGER_HEADER, in its order (the
-# start row's picard_iters is 0)
+# a run's ledger row: the columns of io.LEDGER_HEADER, in its order;
+# picard_iters counts a step's solves, 1, and is 0 on the start row
 LEDGER_DTYPE = np.dtype([
     ("time", float), ("energy", float), ("dissipation", float),
     ("cumulative_dissipation", float), ("h_min", float), ("x_min", float),
@@ -40,14 +42,9 @@ LEDGER_DTYPE = np.dtype([
 ])
 
 
-class PicardConvergenceError(RuntimeError):
-    """The per-step fixed-point iteration failed to settle."""
-
-
 class Termination(enum.Enum):
     REACHED_T_FINAL = "reached-t-final"
     PINCH_DETECTED = "pinch-detected"
-    PICARD_FAILURE = "picard-failure"
     SOLVER_FAILURE = "solver-failure"
 
 
@@ -65,8 +62,6 @@ class SolverConfig:
     dt: float = 1e-5
     t_final: float = 1.0
     epsilon: float = 0.0
-    picard_tol: float = 1e-8
-    picard_max: int = 12
     pinch_floor: float = 1e-3
     output_every: int = 100
     flux_diagnostics: bool = False
@@ -89,12 +84,6 @@ class SolverConfig:
             )
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not (0.0 < self.picard_tol <= 1e-2):
-            raise ValueError(
-                f"picard_tol must lie in (0, 1e-2], got {self.picard_tol}"
-            )
-        if self.picard_max < 2:
-            raise ValueError(f"picard_max must be at least 2, got {self.picard_max}")
         if self.pinch_floor < 0:
             raise ValueError(f"pinch_floor must be nonnegative, got {self.pinch_floor}")
         if self.epsilon == 0.0 and self.pinch_floor <= 0.0:
@@ -109,7 +98,7 @@ class RunStart:
     Trajectory.end after one, and what a checkpoint stores.
 
     history holds the values of up to two accepted states before the start
-    state, oldest first: the Picard predictor's input, so that a resumed run
+    state, oldest first: the predictor's input, so that a resumed run
     repeats the unsplit run bit for bit.
     """
 
@@ -123,7 +112,9 @@ class Trajectory:
     """A completed (possibly truncated) run with its per-step diagnostics.
     The ledger, the (k, n) snapshot stack and the flux reports are
     read-only.  Under flux_diagnostics, flux_reports holds one row per step,
-    its columns those of io.FLUX_HEADER; it is (0, 4) otherwise."""
+    its columns those of io.FLUX_HEADER; it is (0, 4) otherwise.
+    max_predictor_gap is the largest ||h^(n+1) - p^n||_H1 / ||h^(n+1)||_H1
+    over the run's steps, p^n the predictor of the step to h^(n+1)."""
 
     config: SolverConfig
     grid: Grid
@@ -135,6 +126,7 @@ class Trajectory:
     failure_message: str | None = None
     flux_reports: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     max_solver_residual: float = 0.0
+    max_predictor_gap: float = 0.0
     end: RunStart = RunStart()        # continue with run(cfg, final, start=end)
 
     @property
@@ -163,19 +155,19 @@ def _mobility(values: np.ndarray, cfg: SolverConfig, out: np.ndarray | None = No
 def _predictor(values: np.ndarray, history: tuple[np.ndarray, ...], ws: Workspace) -> np.ndarray:
     """The polynomial through the accepted states, oldest first in history
     and values last, extrapolated one step: 3h^n - 3h^(n-1) + h^(n-2),
-    2h^n - h^(n-1), or h^n itself without history.  The extrapolation is
-    taken in ws.predictor, with a row of ws.pair as scratch."""
-    if not history:
-        return values
+    2h^n - h^(n-1), or a copy of h^n without history, in ws.predictor, with
+    ws.mobility as scratch."""
     out = ws.predictor
-    if len(history) == 1:
+    if not history:
+        np.copyto(out, values)
+    elif len(history) == 1:
         np.multiply(2.0, values, out=out)
         out -= history[0]
-        return out
-    older, old = history
-    np.multiply(3.0, values, out=out)
-    out -= np.multiply(3.0, old, out=ws.pair[0])
-    out += older
+    else:
+        older, old = history
+        np.multiply(3.0, values, out=out)
+        out -= np.multiply(3.0, old, out=ws.mobility)
+        out += older
     return out
 
 
@@ -186,19 +178,15 @@ def step_nonlinear(
     history: tuple[np.ndarray, ...] = (),
     workspace: Workspace | None = None,
 ) -> tuple[StepResult, int]:
-    """One implicit step from the nodal values h_old, with coefficient-lagged
-    fixed-point iteration.
+    """One linearly implicit backward-Euler step from the nodal values h_old:
+    one banded solve of step_linear with the mobility of the predictor, the
+    extrapolation of h_old through history, the values of up to two
+    accepted states before h_old, oldest first.
 
-    The iteration starts from the extrapolation of h_old through history,
-    the values of up to two accepted states before h_old, oldest first; the
-    stop test compares successive iterates whatever the start: an iterate
-    is accepted when its update is at most picard_tol times its own H^1
-    norm, both taken in one call.  The step depends on values and history
-    alone, and fills workspace, or a fresh Workspace(grid, cfg.pressure).
-    Returns the accepted step and the number of iterations used (one banded
-    solve each).  Raises PicardConvergenceError when picard_max iterations
-    do not settle to picard_tol relative in H^1, and LinearSolveError on
-    solver trouble.
+    The step depends on values and history alone, fills workspace, or a
+    fresh Workspace(grid, cfg.pressure), and leaves the predictor in its
+    predictor buffer.  Returns the step and its number of solves, 1.
+    Raises LinearSolveError on solver trouble.
     """
     if cfg.epsilon == 0.0 and values.min() <= cfg.pinch_floor:
         raise ValueError(
@@ -206,20 +194,8 @@ def step_nonlinear(
         )
     ws = workspace or Workspace(grid, cfg.pressure)
     ws.check(grid, cfg.pressure)
-    prev = _predictor(values, history, ws)
-    for iteration in range(1, cfg.picard_max + 1):
-        g = _mobility(prev, cfg, ws.mobility)
-        result = step_linear(values, grid, g, cfg.dt, cfg.pressure, workspace=ws)
-        np.subtract(result.values, prev, out=ws.pair[0])
-        ws.pair[1] = result.values
-        delta, norm = h1_norm(ws.pair, grid).tolist()
-        prev = result.values
-        if delta <= cfg.picard_tol * norm:
-            return result, iteration
-    raise PicardConvergenceError(
-        f"no convergence in {cfg.picard_max} iterations "
-        f"(last H1 update {delta:.3e} vs tolerance {cfg.picard_tol * norm:.3e})"
-    )
+    g = _mobility(_predictor(values, history, ws), cfg, ws.mobility)
+    return step_linear(values, grid, g, cfg.dt, cfg.pressure, workspace=ws), 1
 
 
 def _validate_start(h0: Profile, cfg: SolverConfig, start: RunStart | None) -> None:
@@ -269,8 +245,8 @@ def _room(table: np.ndarray, rows: int) -> None:
 
 class _StepDiagnostics:
     """A run's one record: each accepted state enters once, with its time,
-    Picard count and solver residual, and trajectory builds the Trajectory
-    on every exit path.
+    solver residual and predictor, and trajectory builds the Trajectory on
+    every exit path.
 
     The record is four tables: the ledger, one row per accepted state, the
     snapshot stack (the start state, the states on the output stride and
@@ -279,15 +255,20 @@ class _StepDiagnostics:
     the run through _room, so no step bound is needed before the first
     step.  The per-step diagnostics are evaluated once per block of
     accepted states: the ledger row (energy, dissipation D, and its integral
-    by the trapezoid on the D column), the nodal minimum and, under
-    flux_diagnostics, the flux row.  states holds the state before the
-    block in row 0 and the block's accepted states after it; flush
-    evaluates them with one call per functional on the stack, each row
-    getting the bits of its own 1-D call, writes the block's ledger and flux
-    rows, summing the integral step by step, in order, and copies its
-    states on the stride to the snapshot stack.  The start state is
-    evaluated the same way, as a stack of one.  The block buffers are
-    reused by every block.
+    by the trapezoid on the D column), the nodal minimum, each state's
+    relative H^1 gap to its predictor and, under flux_diagnostics, the flux
+    row.  The block buffer holds the state before the block in row 0, the
+    block's accepted states in rows 1..BLOCK (states) and their gaps to
+    their predictors in the BLOCK rows after them (gaps).  flush evaluates
+    them with one call per functional on the stack, each row getting the
+    bits of its own 1-D call, writes the block's ledger and flux rows,
+    summing the integral step by step, in order, keeps the largest gap and
+    copies its states on the stride to the snapshot stack.  The H^1 norms
+    of the states and gaps are one h1_norm call on all 2 BLOCK rows after
+    row 0; the rows past a partial block hold finite values of earlier
+    blocks, or zeros, and are not read.  The start state is evaluated the
+    same way, as a stack of one.  The block buffer is reused by every
+    block.
     """
 
     def __init__(self, cfg: SolverConfig, h0: Profile, t: float, start: RunStart):
@@ -300,30 +281,32 @@ class _StepDiagnostics:
         self.flux = np.empty((BLOCK + 1, 4))
         # ledger, snapshot, flux and block rows taken
         self.rows = self.snaps = self.fluxes = self.filled = 0
-        self.states = np.empty((BLOCK + 1, grid.n))
+        self.buffer = np.zeros((2 * BLOCK + 1, grid.n))
+        self.states, self.gaps = self.buffer[: BLOCK + 1], self.buffer[BLOCK + 1 :]
         self.states[0] = h0.values
-        self.times: list[float] = []    # the block's times and Picard counts
-        self.iters: list[int] = []
-        self.max_residual = 0.0
-        start_row = self._evaluate(self.states[:1], [t], [0])
+        self.times: list[float] = []    # the block's times
+        self.max_residual = self.max_gap = 0.0
+        start_row = self._evaluate(self.states[:1], [t], 0)
         start_row["cumulative_dissipation"] = start.cumulative_dissipation
         self._keep(self.states[:1], [start.step])
 
-    def push(self, values: np.ndarray, t: float, iters: int, solver_residual: float) -> None:
-        """Take the next accepted state, stamped t; a full block is
-        evaluated at once."""
+    def push(self, values: np.ndarray, t: float, solver_residual: float,
+             predictor: np.ndarray) -> None:
+        """Take the next accepted state, stamped t, and the predictor of its
+        step; a full block is evaluated at once."""
         self.step += 1
         self.max_residual = max(self.max_residual, solver_residual)
+        np.subtract(values, predictor, out=self.gaps[self.filled])
         self.filled += 1
         self.states[self.filled] = values
         self.times.append(t)
-        self.iters.append(iters)
         if self.filled == BLOCK:
             self.flush()
 
-    def _evaluate(self, states: np.ndarray, times: list[float], iters: list[int]) -> np.ndarray:
-        """Fill the next ledger rows of a stack of states, all columns but
-        the dissipation integral, and return them."""
+    def _evaluate(self, states: np.ndarray, times: list[float], solves: int) -> np.ndarray:
+        """Fill the next ledger rows of a stack of states, each reached by
+        solves solves, all columns but the dissipation integral, and return
+        them."""
         cfg, grid = self.cfg, self.grid
         _room(self.ledger, self.rows + len(states))
         rows = self.ledger[self.rows : self.rows + len(states)]
@@ -334,7 +317,7 @@ class _StepDiagnostics:
         rows["dissipation"] = dissipation(states, grid)
         rows["h_min"] = states[np.arange(len(states)), where]
         rows["x_min"] = grid.nodes[where]
-        rows["picard_iters"] = iters
+        rows["picard_iters"] = solves
         return rows
 
     def _keep(self, states: np.ndarray, steps) -> None:
@@ -352,7 +335,9 @@ class _StepDiagnostics:
             return
         cfg, grid = self.cfg, self.grid
         block = self.states[: m + 1]
-        self._evaluate(block[1:], self.times, self.iters)
+        self._evaluate(block[1:], self.times, 1)
+        norms = h1_norm(self.buffer[1:], grid)     # the states', then the gaps'
+        self.max_gap = max(self.max_gap, float((norms[BLOCK : BLOCK + m] / norms[:m]).max()))
         # the row before the block holds the D and the integral it continues
         rows = self.ledger[self.rows - m - 1 : self.rows]
         d, cum = rows["dissipation"], rows["cumulative_dissipation"]
@@ -367,7 +352,7 @@ class _StepDiagnostics:
         on = slice(-first % cfg.output_every, m, cfg.output_every)
         self._keep(block[1:][on], range(first + on.start, self.step + 1, cfg.output_every))
         self.states[0] = self.states[m]
-        self.times, self.iters = [], []
+        self.times = []
         self.filled = 0
 
     def trajectory(self, termination: Termination, failure_message: str | None,
@@ -391,6 +376,7 @@ class _StepDiagnostics:
             failure_message=failure_message,
             flux_reports=flux,
             max_solver_residual=self.max_residual,
+            max_predictor_gap=self.max_gap,
             end=RunStart(step=self.step, history=history,
                          cumulative_dissipation=float(ledger.cumulative_dissipation[-1])),
         )
@@ -400,7 +386,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     """Advance the model from h0 until t_final, the pinch floor, or failure.
 
     Without start, h0 is fresh initial data at step 0; with it, h0 is a
-    restored state and start.history seeds the Picard predictor.  Step k is
+    restored state and start.history seeds the predictor.  Step k is
     stamped with time k * dt either way.  A start past t_final is an error;
     one at t_final takes no step.  The step loop holds the state as an
     array and keeps only what the next step reads; each accepted state goes
@@ -432,17 +418,14 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
             termination = Termination.REACHED_T_FINAL
             break
         try:
-            result, iters = step_nonlinear(h, grid, cfg, history, workspace)
-        except PicardConvergenceError as exc:
-            termination, failure_message = Termination.PICARD_FAILURE, str(exc)
-            break
+            result, _ = step_nonlinear(h, grid, cfg, history, workspace)
         except LinearSolveError as exc:
             termination, failure_message = Termination.SOLVER_FAILURE, str(exc)
             break
         k += 1
         history = (*history[-1:], h)
         h = result.values
-        record.push(h, k * cfg.dt, iters, result.solver_residual)
+        record.push(h, k * cfg.dt, result.solver_residual, workspace.predictor)
     return record.trajectory(termination, failure_message, history)
 
 
@@ -570,8 +553,8 @@ def decay_rate(traj: Trajectory) -> DecayFit:
         )
     grid = traj.grid
     target = steady_profile(cfg.pressure, grid)
-    # a norm per row: one stacked call would cache k block copies of the
-    # derivative operator in grid._operator
+    # a norm per row: one stacked call would hold several (k, n)
+    # temporaries at once
     dist = np.array([h1_norm(s - target, grid) for s in traj.snapshots])
     scale = h1_norm(target, grid)
     if dist[-1] <= 1e-12 * scale:

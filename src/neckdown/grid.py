@@ -120,19 +120,16 @@ def make_grid(n: int) -> Grid:
 
 
 @lru_cache(maxsize=32)
-def _operator(n: int, order: int, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _operator(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR arrays (indptr, indices, data) of the dimensionless order-th
-    difference operator on n nodes (unit spacing), or of the (kn, kn)
-    block-diagonal matrix with k copies of it.
+    difference operator on n nodes (unit spacing).
 
     Rows take STENCILS' weights, centred inside and one-sided at the h
     nodes next to each end, each row's entries in ascending column order.
     Left and right edge weights mirror each other exactly, but even/odd
     fields map to odd/even fields only to roundoff: a right-edge row adds
     its mirrored terms in the opposite order (a storage order that added
-    them in the same order would change order-1 results).  One csr_matvec
-    over a C-ordered (k, n) stack gives every row the bits of its own
-    product.
+    them in the same order would change order-1 results).
     """
     centre, edge = STENCILS[order]
     width, half = order + 2, len(edge)
@@ -148,10 +145,8 @@ def _operator(n: int, order: int, k: int = 1) -> tuple[np.ndarray, np.ndarray, n
         *[np.arange(n - width, n)] * half,
     ])
     lengths = np.repeat([width, len(centre), width], [half, inner, half])
-    shifts = np.arange(k)[:, None]
-    indptr = np.concatenate([[0], np.cumsum(np.tile(lengths, k))])
-    return (indptr.astype(np.int32), (indices + n * shifts).ravel().astype(np.int32),
-            np.tile(data, k))
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return indptr.astype(np.int32), indices.astype(np.int32), data
 
 
 def derivative(values: np.ndarray, dx: float, order: int) -> np.ndarray:
@@ -203,31 +198,21 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
 
 def h1_norm(values: np.ndarray, grid: Grid) -> float | np.ndarray:
     """Discrete H^1 norm sqrt(int h^2 + int |d1 h|^2) of a raw nodal field,
-    trapezoid in both terms (used in Picard stopping tests), or the (k,)
-    norms of the rows of a (k, n) stack; a field is a stack of one.
+    trapezoid in both terms, or the (k,) norms of the rows of a (k, n)
+    stack.
 
-    The stack takes one csr_matvec with k block-diagonal copies of the
-    order-1 operator, not derivative's csr_matvecs path, which costs more
-    than the rows it saves for small k.  The rows and their derivatives
-    share one (2k, n) buffer that is squared, summed row by row and
-    trapezoid-corrected at once, so each norm gets the bits of its row's
-    own call.
+    The derivative is derivative's, through csr_matvec or csr_matvecs, so
+    no operator is built per stack size, and both integrals reduce each
+    row on its own: each norm gets the bits of its row's own call.
     """
-    n = grid.n
     values = np.asarray(values, dtype=float)
     shape = values.shape
-    if shape == (n,):
-        return float(h1_norm(values[None], grid)[0])
-    if len(shape) != 2 or shape[1] != n:
-        raise ValueError(f"field has shape {shape}, operator has {n} nodes")
-    k = shape[0]
-    terms = np.zeros((2 * k, n))
-    terms[:k] = values
-    csr_matvec(k * n, k * n, *_operator(n, 1, k), terms[:k].ravel(), terms[k:].ravel())
-    terms[k:] /= grid.dx
-    terms *= terms
-    q = quadrature(terms, grid)
-    return np.sqrt(q[:k] + q[k:])
+    if len(shape) not in (1, 2) or shape[-1] != grid.n:
+        raise ValueError(f"field has shape {shape}, operator has {grid.n} nodes")
+    d1 = derivative(values, grid.dx, 1)
+    d1 *= d1
+    norm = np.sqrt(quadrature(values * values, grid) + quadrature(d1, grid))
+    return float(norm) if len(shape) == 1 else norm
 
 
 def min_value(p: Profile) -> tuple[float, float]:

@@ -326,7 +326,6 @@ def test_07_epsilon_continuation(grid201):
         dt=1e-4,
         t_final=0.5,
         epsilon=schedule[0],
-        picard_tol=1e-10,
         output_every=100,
     )
     h0 = _perturbed(1.0, grid201, 0.05)

@@ -259,10 +259,8 @@ def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials
     specials=st.lists(_SPECIAL, max_size=40),
 )
 def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, layout, seed, specials):
-    """derivative, quadrature, energy and dissipation take a (k, n) stack
-    through csr_matvecs and row-wise reductions, and h1_norm through one
-    csr_matvec over k block-diagonal copies of the order-1 operator; every
-    row must get the bytes of its own 1-D call, on negative nodes (the
+    """derivative, quadrature, energy, dissipation and h1_norm take a (k, n)
+    stack through csr_matvecs and row-wise reductions; every row must get the bytes of its own 1-D call, on negative nodes (the
     dissipation clip), signed zeros, subnormals and magnitudes from 1e-8 to
     1e8, whatever the layout of the stack."""
     grid = make_grid(n)
@@ -301,8 +299,8 @@ def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, layout, seed, spe
 
 def test_kernel_path_rejects_fields_of_the_wrong_shape(grid201):
     """The raw kernels read n entries per field whatever the array holds, so
-    a mismatch must raise before they run.  h1_norm's operator is the
-    grid's, for one field or each row of a (k, n) stack; derivative builds
+    a mismatch must raise before they run.  h1_norm checks the grid's node
+    count, for one field or each row of a (k, n) stack; derivative builds
     its own from the last axis, so a (k, n) stack is fine and only an array
     whose rows are too short for the stencil, or that has more than two
     axes, can disagree with it."""
