@@ -143,32 +143,28 @@ class Trajectory:
         return Profile(grid=self.grid, values=self.snapshots[-1], pressure=self.config.pressure)
 
 
-def _mobility(values: np.ndarray, cfg: SolverConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """g of the values, into out when given."""
+def _mobility(values: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """g of the values, in a new array."""
     if cfg.epsilon > 0.0:
-        g = np.multiply(values, values, out=out)
+        g = values * values
         g += cfg.epsilon**2
         return np.sqrt(g, out=g)
-    return np.maximum(values, cfg.pinch_floor / 10.0, out=out)
+    return np.maximum(values, cfg.pinch_floor / 10.0)
 
 
-def _predictor(values: np.ndarray, history: tuple[np.ndarray, ...], ws: Workspace) -> np.ndarray:
+def _predictor(values: np.ndarray, history: tuple[np.ndarray, ...]) -> np.ndarray:
     """The polynomial through the accepted states, oldest first in history
     and values last, extrapolated one step: 3h^n - 3h^(n-1) + h^(n-2),
-    2h^n - h^(n-1), or a copy of h^n without history, in ws.predictor, with
-    ws.mobility as scratch."""
-    out = ws.predictor
+    2h^n - h^(n-1), or values itself without history."""
     if not history:
-        np.copyto(out, values)
-    elif len(history) == 1:
-        np.multiply(2.0, values, out=out)
-        out -= history[0]
-    else:
-        older, old = history
-        np.multiply(3.0, values, out=out)
-        out -= np.multiply(3.0, old, out=ws.mobility)
-        out += older
-    return out
+        return values
+    if len(history) == 1:
+        return 2.0 * values - history[0]
+    older, old = history
+    p = 3.0 * values
+    p -= 3.0 * old
+    p += older
+    return p
 
 
 def step_nonlinear(
@@ -177,32 +173,32 @@ def step_nonlinear(
     cfg: SolverConfig,
     history: tuple[np.ndarray, ...] = (),
     workspace: Workspace | None = None,
-) -> tuple[StepResult, int]:
+) -> tuple[StepResult, np.ndarray]:
     """One linearly implicit backward-Euler step from the nodal values h_old:
     one banded solve of step_linear with the mobility of the predictor, the
     extrapolation of h_old through history, the values of up to two
     accepted states before h_old, oldest first.
 
-    The step depends on values and history alone, fills workspace, or a
-    fresh Workspace(grid, cfg.pressure), and leaves the predictor in its
-    predictor buffer.  Returns the step and its number of solves, 1.
-    Raises LinearSolveError on solver trouble.
+    The step depends on values and history alone and solves in workspace,
+    or in a fresh Workspace(grid, cfg.pressure).  Returns the step and its
+    predictor, which is values itself without history; callers only read
+    it.  Raises LinearSolveError on solver trouble.
     """
     if cfg.epsilon == 0.0 and values.min() <= cfg.pinch_floor:
         raise ValueError(
             "unregularized step requires min(h) above the pinch floor"
         )
-    ws = workspace or Workspace(grid, cfg.pressure)
-    ws.check(grid, cfg.pressure)
-    g = _mobility(_predictor(values, history, ws), cfg, ws.mobility)
-    return step_linear(values, grid, g, cfg.dt, cfg.pressure, workspace=ws), 1
+    p = _predictor(values, history)
+    g = _mobility(p, cfg)
+    return step_linear(values, grid, g, cfg.dt, cfg.pressure, workspace=workspace), p
 
 
 def _validate_start(h0: Profile, cfg: SolverConfig, start: RunStart | None) -> None:
     """h0 on the config's nodes and pressure, and on the boundary rows;
     strict positivity only for fresh initial data, since a restored state is
     whatever the run reached.  A start holds at most two history rows, each
-    a Profile's values on h0's grid."""
+    a Profile's values on h0's grid, and starts at a nonnegative step with
+    a finite cumulative dissipation."""
     if h0.grid.n != cfg.n:
         raise ValueError(
             f"initial data lives on {h0.grid.n} nodes, config wants {cfg.n}"
@@ -223,10 +219,15 @@ def _validate_start(h0: Profile, cfg: SolverConfig, start: RunStart | None) -> N
         )
     if start is None and float(np.min(h0.values)) <= 0.0:
         raise ValueError("initial data must be strictly positive")
-    history = start.history if start else ()
-    if len(history) > 2:
-        raise ValueError(f"a start holds at most 2 history rows, got {len(history)}")
-    for row in history:
+    start = start or RunStart()
+    if start.step < 0:
+        raise ValueError(f"a start's step must be nonnegative, got {start.step}")
+    if not math.isfinite(start.cumulative_dissipation):
+        raise ValueError(
+            f"a start's dissipation must be finite, got {start.cumulative_dissipation}")
+    if len(start.history) > 2:
+        raise ValueError(f"a start holds at most 2 history rows, got {len(start.history)}")
+    for row in start.history:
         Profile(grid=h0.grid, values=row, pressure=cfg.pressure)
 
 
@@ -418,14 +419,14 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
             termination = Termination.REACHED_T_FINAL
             break
         try:
-            result, _ = step_nonlinear(h, grid, cfg, history, workspace)
+            result, predictor = step_nonlinear(h, grid, cfg, history, workspace)
         except LinearSolveError as exc:
             termination, failure_message = Termination.SOLVER_FAILURE, str(exc)
             break
         k += 1
         history = (*history[-1:], h)
         h = result.values
-        record.push(h, k * cfg.dt, result.solver_residual, workspace.predictor)
+        record.push(h, k * cfg.dt, result.solver_residual, predictor)
     return record.trajectory(termination, failure_message, history)
 
 
@@ -605,8 +606,8 @@ def relaxation_check(traj: Trajectory, delta_loc: float | None = None) -> RelaxR
     target = steady_profile(cfg.pressure, grid)
     if delta_loc is None:
         delta_loc = 0.1 * float(np.max(target))
-    elif delta_loc <= 0.0:
-        raise ValueError(f"delta_loc must be positive, got {delta_loc}")
+    elif not (math.isfinite(delta_loc) and delta_loc > 0.0):
+        raise ValueError(f"delta_loc must be finite and positive, got {delta_loc}")
     final = traj.snapshots[-1]
     diff_vals = final - target
 

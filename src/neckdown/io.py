@@ -173,10 +173,6 @@ def build_report(traj: Trajectory) -> dict:
         "cumulative_dissipation": ledger.cumulative_dissipation[-1],
         "max_solver_residual": traj.max_solver_residual,
         "max_predictor_gap": traj.max_predictor_gap,
-        "picard_iters_max": int(traj.picard_iters.max()),
-        "picard_iters_mean": float(traj.picard_iters[1:].mean())
-        if len(traj.picard_iters) > 1
-        else 0.0,
         "pinch": asdict(detect_pinch(traj)),
         "decay": None,
         "relaxation": asdict(relaxation_check(traj)),

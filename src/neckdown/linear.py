@@ -95,11 +95,9 @@ class Workspace:
     targets 1, P, P, 1), the residual, the solution and the interior |A|
     row sums, in the first n-4 entries of row 3 (the rest stay zero, below
     any row sum, which is at least 1).  lu is gbsv's Fortran-ordered
-    (7, n-2) buffer and product the (5, n) band product.  predictor and
-    mobility are evolve.step_nonlinear's buffers: the step's predictor, which
-    the run reads back after the step, and the mobility at it, scratch while
-    the predictor is formed.  A workspace serves one node count and
-    pressure; check raises ValueError on any other.
+    (7, n-2) buffer and product the (5, n) band product.  A workspace
+    serves one node count and pressure; check, which assemble_operator
+    makes before it writes a buffer, raises ValueError on any other.
     """
 
     def __init__(self, grid: Grid, pressure: float):
@@ -128,8 +126,6 @@ class Workspace:
         self.lu = _lu_buffer(band[:, 1:-1])
         self.product = np.empty((5, n))
         self.product_views = _row_sum_views(self.product)
-        self.predictor = np.empty(n)
-        self.mobility = np.empty(n)
 
     def check(self, grid: Grid, pressure: float) -> None:
         """ValueError unless grid and pressure are the ones it was built for."""

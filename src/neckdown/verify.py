@@ -11,6 +11,7 @@ cases and on generated inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,16 +129,16 @@ def entropy_density(s: np.ndarray, bound: float, eps: float) -> np.ndarray:
 def entropy(p: Profile, bound: float, eps: float) -> float:
     """Quadrature of the entropy density F_eps over the profile.
 
-    bound (the anchor A) must dominate the profile and eps must be positive;
-    the density blows up logarithmically at negative values as eps shrinks,
-    which is what makes it a nonnegativity sentinel.
+    bound (the anchor A) must be finite and dominate the profile, and eps
+    must be finite and positive; the density blows up logarithmically at
+    negative values as eps shrinks, which is what makes it a nonnegativity
+    sentinel.
     """
-    if eps <= 0.0:
-        raise ValueError(f"entropy eps must be positive, got {eps}")
-    if bound < float(np.max(p.values)):
-        raise ValueError(
-            f"entropy anchor {bound} is below the profile maximum {np.max(p.values)}"
-        )
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"entropy eps must be finite and positive, got {eps}")
+    top = float(np.max(p.values))
+    if not (math.isfinite(bound) and bound >= top):
+        raise ValueError(f"entropy anchor {bound} is not finite or below the profile maximum {top}")
     return quadrature(entropy_density(p.values, bound, eps), p.grid)
 
 

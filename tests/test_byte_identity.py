@@ -17,7 +17,8 @@ A change that moves bits on purpose rewrites the table in the same change,
 
     PYTHONPATH=src python tests/test_byte_identity.py
 
-and names the moved files.  The digests hold for one build of numpy and
+which prints the names of the digests it changed, added and removed, and
+names the moved files.  The digests hold for one build of numpy and
 scipy, whose BLAS kernels use FMA; the table records the versions that
 wrote it, and a failure names them beside the versions running.
 """
@@ -96,7 +97,15 @@ def test_artifacts_match_the_committed_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(TABLE.read_text())["digests"] if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = {"versions": versions(), "digests": digests(Path(tmp))}
     TABLE.write_text(json.dumps(table, indent=2) + "\n")
-    print(f"wrote {len(table['digests'])} digests to {TABLE}", file=sys.stderr)
+    new = table["digests"]
+    print(f"wrote {len(new)} digests to {TABLE}", file=sys.stderr)
+    for label, names in (
+        ("changed", [name for name in new if name in old and new[name] != old[name]]),
+        ("added", [name for name in new if name not in old]),
+        ("removed", [name for name in old if name not in new]),
+    ):
+        print(f"{label}: {', '.join(names) or 'none'}", file=sys.stderr)

@@ -336,6 +336,10 @@ def test_checkpoint_roundtrip_and_mismatch(tmp_path):
     assert "time" not in state
     gone = ("simpson", "crank_nicolson", "picard_tol", "picard_max")
     assert not set(gone) & set(state["config"])
+    # one solve per step leaves no Picard count for report.json to summarise
+    report = json.loads(manifest.report_path.read_text())
+    assert not {"picard_iters_max", "picard_iters_mean"} & set(report)
+    assert not set(gone) & set(report["manifest"]["config"])
     # an older checkpoint's time key is ignored, as the time is step * dt, and
     # so are its config's simpson, crank_nicolson, picard_tol and picard_max
     # keys, as the trapezoid is the one quadrature and one linearly implicit

@@ -131,8 +131,8 @@ def test_perturbed_step_converges_fast_and_contracts(grid, steady_p1):
     h0 = Profile(
         grid=grid, values=ic_steady_perturbed_poly(1.0, grid, 0.05), pressure=1.0
     )
-    result, solves = step_nonlinear(h0.values, grid, cfg)
-    assert solves == 1
+    result, p = step_nonlinear(h0.values, grid, cfg)
+    assert p.tobytes() == predictor(h0.values, ()).tobytes()
     d0 = h1_norm(h0.values - steady_p1.values, grid)
     d1 = h1_norm(result.values - steady_p1.values, grid)
     assert d1 < d0
@@ -166,7 +166,7 @@ def test_step_is_one_solve_at_the_predictor_mobility(
     states that are the perturbed parabola (amplitude in [0, 0.05]) plus
     multiples of drift in [-1e-3, 1e-3] times a bump.  step_nonlinear is
     one step_linear call with the mobility of the predictor, bit for bit,
-    and its workspace holds that predictor after the step."""
+    and returns that predictor."""
     grid = make_grid(n)
     cfg = SolverConfig(pressure=pressure, n=n, dt=10.0**log_dt, epsilon=epsilon)
     base = ic_steady_perturbed_poly(pressure, grid, amplitude)
@@ -174,14 +174,13 @@ def test_step_is_one_solve_at_the_predictor_mobility(
     states = [base + j * drift * bump for j in range(rows + 1)]
     values, history = states[-1], tuple(states[:-1])
     workspace = Workspace(grid, pressure)
-    result, solves = step_nonlinear(values, grid, cfg, history, workspace)
+    result, got = step_nonlinear(values, grid, cfg, history, workspace)
     p = predictor(values, history)
     want = step_linear(values, grid, _mobility(p, cfg), cfg.dt, pressure)
-    assert solves == 1
     assert result.values.tobytes() == want.values.tobytes()
     assert (result.solver_residual, result.backward_error) == (
         want.solver_residual, want.backward_error)
-    assert workspace.predictor.tobytes() == p.tobytes()
+    assert got.tobytes() == p.tobytes()
 
 
 def test_run_rejects_incompatible_initial_data(grid):
@@ -620,6 +619,23 @@ def test_run_checks_the_history_of_its_start(steady_p1, history, message):
         run(cfg, steady_p1, start=start)
 
 
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        (RunStart(step=-2), "step must be nonnegative, got -2"),
+        (RunStart(step=10, cumulative_dissipation=np.nan), "dissipation must be finite"),
+        (RunStart(step=10, cumulative_dissipation=np.inf), "dissipation must be finite"),
+    ],
+    ids=["negative-step", "nan-dissipation", "inf-dissipation"],
+)
+def test_run_checks_the_step_and_dissipation_of_its_start(steady_p1, start, message):
+    """A start's step is nonnegative and its cumulative dissipation finite;
+    a bad one is refused where run enters."""
+    cfg = SolverConfig(pressure=1.0, dt=1e-4, t_final=0.002, epsilon=1e-2)
+    with pytest.raises(ValueError, match=message):
+        run(cfg, steady_p1, start=start)
+
+
 def test_run_checks_the_pressure_of_its_start(grid):
     """Initial data for another pressure is refused, fresh or restored."""
     h0 = Profile(grid=grid, values=steady_profile(4.0, grid), pressure=4.0)
@@ -720,8 +736,9 @@ def test_relaxation_outside_contact_region(pinch_traj, grid):
     assert rel_default.h3_local_distance > rel_mid.h3_local_distance
     assert rel_mid.h3_local_distance > rel_far.h3_local_distance
     assert 0.1 < rel_far.h3_local_distance < rel_default.h3_local_distance < 5.0
-    with pytest.raises(ValueError, match="delta_loc"):
-        relaxation_check(pinch_traj, delta_loc=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta_loc"):
+            relaxation_check(pinch_traj, delta_loc=bad)
 
 
 def test_relaxation_on_steady_run_is_tiny(steady_traj):

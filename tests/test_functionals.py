@@ -113,6 +113,10 @@ def test_entropy_rejects_bad_arguments(grid201):
         entropy(p, 2.0, 0.0)
     with pytest.raises(ValueError):
         entropy(p, 2.0, -1e-3)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        entropy(p, 2.0, np.nan)
+    with pytest.raises(ValueError, match="anchor nan is not finite"):
+        entropy(p, np.nan, 1e-2)
 
 
 def _mollifier(x, t, centre, radii):
