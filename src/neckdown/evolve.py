@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -197,8 +198,8 @@ def _validate_start(h0: Profile, cfg: SolverConfig, start: RunStart | None) -> N
     """h0 on the config's nodes and pressure, and on the boundary rows;
     strict positivity only for fresh initial data, since a restored state is
     whatever the run reached.  A start holds at most two history rows, each
-    a Profile's values on h0's grid, and starts at a nonnegative step with
-    a finite cumulative dissipation."""
+    a Profile's values on h0's grid, and starts at a nonnegative integer
+    step, not a bool, with a finite cumulative dissipation."""
     if h0.grid.n != cfg.n:
         raise ValueError(
             f"initial data lives on {h0.grid.n} nodes, config wants {cfg.n}"
@@ -220,6 +221,8 @@ def _validate_start(h0: Profile, cfg: SolverConfig, start: RunStart | None) -> N
     if start is None and float(np.min(h0.values)) <= 0.0:
         raise ValueError("initial data must be strictly positive")
     start = start or RunStart()
+    if isinstance(start.step, bool) or not isinstance(start.step, numbers.Integral):
+        raise ValueError(f"a start's step must be an integer, got {start.step!r}")
     if start.step < 0:
         raise ValueError(f"a start's step must be nonnegative, got {start.step}")
     if not math.isfinite(start.cumulative_dissipation):
@@ -599,7 +602,8 @@ def relaxation_check(traj: Trajectory, delta_loc: float | None = None) -> RelaxR
     The H^3 distance is measured on the region where the steady profile
     exceeds delta_loc (default a tenth of its maximum): convergence is only
     locally uniform away from the contact set when P >= 2, while for P < 2
-    the region is the whole interval.
+    the region is the whole interval.  ValueError when that region holds
+    no two adjacent nodes, where the distance would read a silent 0.
     """
     grid = traj.grid
     cfg = traj.config
@@ -608,23 +612,26 @@ def relaxation_check(traj: Trajectory, delta_loc: float | None = None) -> RelaxR
         delta_loc = 0.1 * float(np.max(target))
     elif not (math.isfinite(delta_loc) and delta_loc > 0.0):
         raise ValueError(f"delta_loc must be finite and positive, got {delta_loc}")
+    # the contiguous runs [i, j) of the region with two nodes or more, each
+    # integrated on its own
+    edges = np.flatnonzero(np.diff(target > delta_loc, prepend=False, append=False))
+    runs = [(i, j) for i, j in zip(edges[::2], edges[1::2]) if j - i > 1]
+    if not runs:
+        raise ValueError(
+            f"no two adjacent nodes of the steady profile exceed delta_loc = {delta_loc!r}")
     final = traj.snapshots[-1]
     diff_vals = final - target
 
     h1_distance = h1_norm(diff_vals, grid)
 
-    mask = target > delta_loc
     integrand = np.zeros(grid.n)
     fields = [diff_vals] + [derivative(diff_vals, grid.dx, j) for j in range(1, 4)]
     for f in fields:
         integrand += f * f
-    # the contiguous runs [i, j) of the mask, each integrated on its own
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
     total = 0.0
-    for i, j in zip(edges[::2], edges[1::2]):
-        if j - i > 1:
-            seg = integrand[i:j]
-            total += grid.dx * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
+    for i, j in runs:
+        seg = integrand[i:j]
+        total += grid.dx * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
     return RelaxReport(
         h1_distance=float(h1_distance),
         h3_local_distance=float(np.sqrt(total)),

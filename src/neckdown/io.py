@@ -161,7 +161,8 @@ def _jsonable(obj):
 
 
 def build_report(traj: Trajectory) -> dict:
-    """Summary dict with pinch / decay / relaxation sub-reports."""
+    """Summary dict with pinch / decay / relaxation sub-reports; decay and
+    relaxation are None where their check raises ValueError."""
     cfg, ledger = traj.config, traj.ledger
     report = {
         "termination": traj.termination.value,
@@ -175,8 +176,12 @@ def build_report(traj: Trajectory) -> dict:
         "max_predictor_gap": traj.max_predictor_gap,
         "pinch": asdict(detect_pinch(traj)),
         "decay": None,
-        "relaxation": asdict(relaxation_check(traj)),
+        "relaxation": None,
     }
+    try:
+        report["relaxation"] = asdict(relaxation_check(traj))
+    except ValueError:
+        pass
     if cfg.pressure < 2.0 and traj.termination is Termination.REACHED_T_FINAL:
         try:
             report["decay"] = asdict(decay_rate(traj))

@@ -43,44 +43,14 @@ class LinearSolveError(RuntimeError):
 
 
 def _band_product(ab: np.ndarray, x: np.ndarray, workspace: Workspace) -> np.ndarray:
-    """A x for A in (5, n) band storage, in workspace's product buffer."""
+    """A x for A in (5, n) band storage, in workspace's product buffer.
+    Entry (i, j) sits at ab[2 + i - j, j], and each row adds its diagonal,
+    then the entries at j = i+1, i+2, i-1, i-2.  Returns a view of the
+    buffer's row 2."""
     np.multiply(ab, x, out=workspace.product)
-    return _row_sums(workspace.product, workspace.product_views)
-
-
-def _row_sum_views(terms: np.ndarray) -> tuple:
-    """(out, pairs): out = terms[2] and the (target, source) views that
-    _row_sums adds, for a (5, n) band-stored array.  Entry (i, j) sits at
-    terms[2 + i - j, j], and each row adds its diagonal, then the entries at
-    j = i+1, i+2, i-1, i-2."""
-    out = terms[2]
-    return out, ((out[:-1], terms[1, 1:]), (out[:-2], terms[0, 2:]),
-                 (out[1:], terms[3, :-1]), (out[2:], terms[4, :-2]))
-
-
-def _row_sums(terms: np.ndarray, views: tuple | None = None) -> np.ndarray:
-    """Row sums of a (5, n) band-stored matrix, in place, in the order of
-    _row_sum_views(terms), or of views, which a workspace keeps for its
-    product buffer.  Returns a view of terms[2]."""
-    out, pairs = views or _row_sum_views(terms)
-    for target, source in pairs:
+    for target, source in workspace.product_pairs:
         target += source
-    return out
-
-
-def _interior_abs_row_sums(diagonals: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
-    """Row sums of |A| on the interior rows 2..n-3 into out (length n-4),
-    with the bits of _row_sums(np.abs(ab)) there, from the interior
-    diagonals (i, i+2), (i, i+1), (i, i), (i, i-1), (i, i-2).  Their signs
-    are +, -, +, -, + because assemble_operator checks g > 0 and dt > 0, so
-    each |entry| is added in _row_sums' order as the entry itself or
-    subtracted as it: diag - up1 + up2 - lo1 + lo2."""
-    up2, up1, diag, lo1, lo2 = diagonals
-    np.subtract(diag, up1, out=out)
-    out += up2
-    out -= lo1
-    out += lo2
-    return out
+    return workspace.product[2]
 
 
 class Workspace:
@@ -90,12 +60,12 @@ class Workspace:
     band is (I + dt L_g) in (5, n) band storage, and diagonals are the views
     of its interior rows that assemble_operator rewrites.  The four boundary
     rows are written here once, with boundary_norm, their largest |A| row
-    sum.  gate holds the four vectors whose largest |entry| the
-    backward-error gate takes in one pass: rhs (row 0, with the boundary
-    targets 1, P, P, 1), the residual, the solution and the interior |A|
-    row sums, in the first n-4 entries of row 3 (the rest stay zero, below
-    any row sum, which is at least 1).  lu is gbsv's Fortran-ordered
-    (7, n-2) buffer and product the (5, n) band product.  A workspace
+    sum: a value row's 1 or a curvature row's sum of |w|.  gate holds the
+    three vectors whose largest |entry| the backward-error gate takes in
+    one pass: rhs (row 0, with the boundary targets 1, P, P, 1), the
+    residual and the solution.  lu is gbsv's Fortran-ordered (7, n-2)
+    buffer, product the (5, n) band product and product_pairs the
+    (target, source) views of it that _band_product adds.  A workspace
     serves one node count and pressure; check, which assemble_operator
     makes before it writes a buffer, raises ValueError on any other.
     """
@@ -113,19 +83,18 @@ class Workspace:
         band[3, 0], band[2, 1], band[1, 2], band[0, 3] = w
         band[4, n - 4], band[3, n - 3], band[2, n - 2], band[1, n - 1] = w[::-1]
         self.diagonals = (band[0, 4:], band[1, 3:-1], band[2, 2:-2], band[3, 1:-3], band[4, :-4])
-        # the interior rows are still zero, so the largest row sum is a
-        # boundary row's, which no interior write changes
-        self.boundary_norm = float(_row_sums(np.abs(band)).max())
-        self.gate = np.zeros((4, n))
-        self.gate_abs = np.empty((4, n))
+        self.boundary_norm = max(1.0, float(np.abs(w).sum()))
+        self.gate = np.zeros((3, n))
+        self.gate_abs = np.empty((3, n))
         self.rhs = self.gate[0]
         self.rhs[0] = self.rhs[n - 1] = 1.0
         self.rhs[1] = self.rhs[n - 2] = self.pressure
-        self.abs_sums = self.gate[3, :-4]
         self.g_face = np.empty(n - 3)
         self.lu = _lu_buffer(band[:, 1:-1])
-        self.product = np.empty((5, n))
-        self.product_views = _row_sum_views(self.product)
+        product = self.product = np.empty((5, n))
+        out = product[2]
+        self.product_pairs = ((out[:-1], product[1, 1:]), (out[:-2], product[0, 2:]),
+                              (out[1:], product[3, :-1]), (out[2:], product[4, :-2]))
 
     def check(self, grid: Grid, pressure: float) -> None:
         """ValueError unless grid and pressure are the ones it was built for."""
@@ -280,19 +249,19 @@ def step_linear(
             f"zero pivot in column {info}"
         )
 
-    # the gate's four infinity norms in one pass over ws.gate; a non-finite
-    # entry of the solution makes the residual, and so backward,
-    # non-finite, and the gate rejects it with no separate scan.  ||A|| is
-    # the larger of the interior and boundary rows' largest sums, the
-    # interior's first so that a NaN would carry through
+    # the gate's three vector infinity norms in one pass over ws.gate; a
+    # non-finite entry of the solution makes the residual, and so backward,
+    # non-finite, and the gate rejects it with no separate scan
     gate = ws.gate
     np.subtract(_band_product(ab, new_values, ws), rhs, out=gate[1])
     gate[2] = new_values
-    _interior_abs_row_sums(ws.diagonals, ws.abs_sums)
-    rhs_norm, residual, x_norm, a_interior = (
-        np.maximum.reduce(np.abs(gate, out=ws.gate_abs), axis=1).tolist()
-    )
-    a_norm = max(a_interior, ws.boundary_norm)
+    rhs_norm, residual, x_norm = np.maximum.reduce(np.abs(gate, out=ws.gate_abs), axis=1).tolist()
+    # interior row i is e_i + s [g-, -(g+ + 3g-), 3(g+ + g-), -(3g+ + g-), g+]
+    # (s = dt/dx^4), with signs +, -, +, -, + because assemble_operator
+    # checks g > 0 and dt > 0, so its |A| row sum is 1 + 8s(g+ + g-) =
+    # 1 + (8/3)(a_ii - 1).  ||A|| is the larger of the interior and boundary
+    # rows' largest sums, the interior's first so that a NaN carries through
+    a_norm = max(1.0 + 8.0 / 3.0 * (float(ws.diagonals[2].max()) - 1.0), ws.boundary_norm)
     backward = residual / (a_norm * x_norm + rhs_norm)
     if not math.isfinite(backward) or backward > RESIDUAL_RTOL:
         raise LinearSolveError(

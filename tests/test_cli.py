@@ -554,6 +554,27 @@ def test_cli_run_writes_and_exits_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_run_reports_no_relaxation_where_its_region_is_empty(tmp_path, capsys):
+    """At P = 100 on 9 nodes only the two boundary nodes of the steady
+    profile exceed the default delta_loc: the run exits 0 and report.json
+    holds "relaxation": null, not a distance of 0."""
+    rc = main(
+        [
+            "run",
+            "--pressure", "100",
+            "--n", "9",
+            "--dt", "1e-6",
+            "--t-final", "2e-6",
+            "--epsilon", "1e-2",
+            "--ic", "steady-perturbed-poly:700",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["relaxation"] is None
+
+
 def test_cli_flags_override_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(

@@ -623,14 +623,18 @@ def test_run_checks_the_history_of_its_start(steady_p1, history, message):
     "start, message",
     [
         (RunStart(step=-2), "step must be nonnegative, got -2"),
+        (RunStart(step=1.5), "step must be an integer, got 1.5"),
+        (RunStart(step=10.0), "step must be an integer, got 10.0"),
+        (RunStart(step=True), "step must be an integer, got True"),
         (RunStart(step=10, cumulative_dissipation=np.nan), "dissipation must be finite"),
         (RunStart(step=10, cumulative_dissipation=np.inf), "dissipation must be finite"),
     ],
-    ids=["negative-step", "nan-dissipation", "inf-dissipation"],
+    ids=["negative-step", "fractional-step", "float-step", "bool-step", "nan-dissipation",
+         "inf-dissipation"],
 )
 def test_run_checks_the_step_and_dissipation_of_its_start(steady_p1, start, message):
-    """A start's step is nonnegative and its cumulative dissipation finite;
-    a bad one is refused where run enters."""
+    """A start's step is a nonnegative integer, not a bool, and its
+    cumulative dissipation finite; a bad one is refused where run enters."""
     cfg = SolverConfig(pressure=1.0, dt=1e-4, t_final=0.002, epsilon=1e-2)
     with pytest.raises(ValueError, match=message):
         run(cfg, steady_p1, start=start)
@@ -739,6 +743,11 @@ def test_relaxation_outside_contact_region(pinch_traj, grid):
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="delta_loc"):
             relaxation_check(pinch_traj, delta_loc=bad)
+    # above the profile's maximum, or leaving only single nodes, the region
+    # holds no two adjacent nodes, and no distance is reported
+    for empty in (1.5, 0.999):
+        with pytest.raises(ValueError, match="no two adjacent nodes .* delta_loc = "):
+            relaxation_check(pinch_traj, delta_loc=empty)
 
 
 def test_relaxation_on_steady_run_is_tiny(steady_traj):

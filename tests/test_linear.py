@@ -96,6 +96,16 @@ def test_nan_mobility_is_rejected(grid201):
         step_linear(h, grid201, g, 1e-5, 1.0)
 
 
+def test_infinite_mobility_is_rejected():
+    """An infinite mobility passes assemble_operator's g > 0 check; ||A|| and
+    the residual are then non-finite, and the gate refuses the step."""
+    grid = make_grid(51)
+    g = np.ones(grid.n)
+    g[25] = np.inf
+    with pytest.raises(LinearSolveError, match="backward error nan"):
+        step_linear(steady_profile(1.0, grid), grid, g, 1e-5, 1.0)
+
+
 def test_assembled_arrays_are_not_shared_between_calls(grid201):
     """A call without a workspace fills a fresh one; mutating one call's
     matrix and rhs (step_linear fills the rhs in place) leaves the next call
@@ -476,6 +486,28 @@ def test_backward_error_uses_dense_infinity_norm(n, g_lo, g_hi, log_dt, pressure
     assert out.backward_error == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([9, 51, 201, 801]),
+    g_lo=st.floats(1e-4, 3.0),
+    g_hi=st.floats(1e-4, 3.0),
+    log_g_scale=st.floats(-3.0, 1.0),
+    log_dt=st.floats(-9.0, -1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interior_norm_closed_form_matches_dense_row_sums(n, g_lo, g_hi, log_g_scale, log_dt,
+                                                          seed):
+    """For g > 0 and dt > 0 the largest |A| row sum of the interior rows is
+    1 + (8/3)(max a_ii - 1), within 4 ulp of the dense sum."""
+    grid = make_grid(n)
+    g_scale = 10.0**log_g_scale
+    g = np.random.default_rng(seed).uniform(min(g_lo, g_hi), max(g_lo, g_hi), n) * g_scale
+    ab, _ = assemble_operator(g, grid, 10.0**log_dt, 1.0)
+    dense = float(np.max(np.abs(band_to_dense(ab)).sum(axis=1)[2:-2]))
+    closed = 1.0 + 8.0 / 3.0 * (float(ab[2, 2:-2].max()) - 1.0)
+    assert abs(closed - dense) <= 4.0 * np.spacing(dense)
+
+
 def _reference_band_product(ab, x):
     """A x as whole-array products added row by row."""
     out = ab[2] * x
@@ -523,7 +555,8 @@ def _reference_assembly(g, grid, dt, pressure):
 def test_step_matches_whole_array_formulation_bit_for_bit(n, g_lo, g_hi, log_dt, pressure, seed):
     """The in-place assembly and the gate's norms give the bits of the
     whole-array expressions they replaced, in every output; the solution's
-    reference is the reduced solve.  A workspace that already served a
+    reference is the reduced solve, and ||A|| the interior rows' closed
+    form on the reference diagonal beside the boundary rows' sums.  A workspace that already served a
     solve with another mobility and dt gives the same bytes as a fresh
     one."""
     grid = make_grid(n)
@@ -539,7 +572,11 @@ def test_step_matches_whole_array_formulation_bit_for_bit(n, g_lo, g_hi, log_dt,
 
     rhs[2:-2] = h[2:-2]
     x = reduced_solve(ab, rhs)
-    a_norm = float(np.max(_reference_band_product(np.abs(ab), np.ones(n))))
+    # ||A||: the interior rows' closed form on the reference diagonal, whose
+    # bytes the assertion above ties to the in-place one, then the
+    # boundary rows' summed |A|
+    boundary = _reference_band_product(np.abs(ab), np.ones(n))[[0, 1, -2, -1]]
+    a_norm = max(1.0 + 8.0 / 3.0 * (float(ab[2, 2:-2].max()) - 1.0), float(boundary.max()))
     residual = float(np.max(np.abs(_reference_band_product(ab, x) - rhs)))
     rhs_norm = float(np.max(np.abs(rhs)))
     x_norm = float(np.max(np.abs(x)))
