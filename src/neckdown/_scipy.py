@@ -1,7 +1,7 @@
 """The two compiled scipy modules the solver calls, without scipy's packages.
 
-The solver calls four functions of scipy: LAPACK's dgbsv and dgbcon from
-scipy.linalg._flapack, and the CSR kernels csr_matvec and csr_matvecs from
+The solver calls three functions of scipy: LAPACK's dgbsv and dgbcon from
+scipy.linalg._flapack, and the CSR kernel csr_matvecs from
 scipy.sparse._sparsetools.  Importing them by name would first run the
 __init__ of scipy, scipy.linalg and scipy.sparse, which load 118 scipy
 modules and, through scipy's array API layer, numpy.f2py, numpy.testing,

@@ -401,6 +401,7 @@ def run(cfg: SolverConfig, h0: Profile, start: RunStart | None = None) -> Trajec
     _validate_start(h0, cfg, start)
     grid = h0.grid
     start = start or RunStart()
+    start = replace(start, step=int(start.step))   # checkpoint JSON takes no numpy int
 
     total_steps = int(round(cfg.t_final / cfg.dt))
     if total_steps < 1:
@@ -557,9 +558,9 @@ def decay_rate(traj: Trajectory) -> DecayFit:
         )
     grid = traj.grid
     target = steady_profile(cfg.pressure, grid)
-    # a norm per row: one stacked call would hold several (k, n)
-    # temporaries at once
-    dist = np.array([h1_norm(s - target, grid) for s in traj.snapshots])
+    # at most BLOCK rows per call: temporaries the size of the record's block
+    dist = np.concatenate([h1_norm(traj.snapshots[i : i + BLOCK] - target, grid)
+                           for i in range(0, len(traj.snapshots), BLOCK)])
     scale = h1_norm(target, grid)
     if dist[-1] <= 1e-12 * scale:
         raise ValueError("distance at roundoff; fit meaningless")

@@ -9,23 +9,22 @@ diagnostics rely on that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-# scipy's private C++ kernels under `csr_matrix @ vector` and `@ (n, k)
-# block`: y += A x over the stored entries of each row, in storage order, with
-# csr_matvecs adding each term to all k columns of a row at once.  Called here
-# on a zeroed y, they return the bits of `csr_matrix @ v` without
-# scipy.sparse's per-call dispatch, and each column of a block gets the bits
-# of its own product.  They are not public API and check no lengths;
-# test_grid pins the equalities.  _scipy loads their compiled module,
+# scipy's private C++ kernel under `csr_matrix @ (n, k) block`: y += A x over
+# the stored entries of each row, in storage order, adding each term to all k
+# columns of a row at once.  Called here on a zeroed y, it gives each column
+# of a block the bits of its own `csr_matrix @ v`, without scipy.sparse's
+# per-call dispatch.  It is not public API and checks no lengths; test_grid
+# pins the equality.  _scipy loads its compiled module,
 # scipy/sparse/_sparsetools, from its file, without scipy.sparse's package.
 from ._scipy import extension
 
-_sparsetools = extension("sparse._sparsetools")
-csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+csr_matvecs = extension("sparse._sparsetools").csr_matvecs
 
 MIN_NODES = 9
 
@@ -150,30 +149,25 @@ def _operator(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def derivative(values: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """order-th finite-difference derivative, on all nodes, of a
-    one-dimensional nodal field (through csr_matvec) or of each row of a
-    (k, n) stack of fields (through csr_matvecs on its (n, k) transpose; a
-    stack comes back as a C-ordered (k, n) array).
+    """order-th finite-difference derivative, on all nodes, of a nodal field
+    or of each row of a (k, n) stack of fields, in a C-ordered array of the
+    input's shape: one csr_matvecs call on the stack's (n, k) transpose, a
+    field taken as a stack of one.
 
-    The kernels read n entries per field whatever the array holds, so any
+    The kernel reads n entries per field whatever the array holds, so any
     other shape is a ValueError here, before the call.
     """
     if order not in STENCILS:
         raise ValueError(f"derivative order must be in 1..5, got {order}")
     shape = np.shape(values)
-    n = shape[-1]
-    op = _operator(n, order)
-    if len(shape) == 1:
-        out = np.zeros(n)
-        csr_matvec(n, n, *op, values, out)
-    elif len(shape) == 2:
-        columns = np.zeros((n, shape[0]))
-        csr_matvecs(n, n, shape[0], *op,
-                    np.ascontiguousarray(np.transpose(values), dtype=float).ravel(),
-                    columns.ravel())
-        out = np.ascontiguousarray(columns.T)
-    else:
-        raise ValueError(f"field has shape {shape}, operator has {n} nodes")
+    if len(shape) not in (1, 2):
+        raise ValueError(f"a field or a stack of fields has 1 or 2 axes, got shape {shape}")
+    n, k = shape[-1], math.prod(shape[:-1])
+    columns = np.zeros((n, k))
+    csr_matvecs(n, n, k, *_operator(n, order),
+                np.ascontiguousarray(np.transpose(values), dtype=float).ravel(),
+                columns.ravel())
+    out = np.ascontiguousarray(columns.T).reshape(shape)
     out /= dx**order
     return out
 
@@ -201,9 +195,9 @@ def h1_norm(values: np.ndarray, grid: Grid) -> float | np.ndarray:
     trapezoid in both terms, or the (k,) norms of the rows of a (k, n)
     stack.
 
-    The derivative is derivative's, through csr_matvec or csr_matvecs, so
-    no operator is built per stack size, and both integrals reduce each
-    row on its own: each norm gets the bits of its row's own call.
+    The derivative is derivative's one csr_matvecs call, so no operator is
+    built per stack size, and both integrals reduce each row on its own:
+    each norm gets the bits of its row's own call.
     """
     values = np.asarray(values, dtype=float)
     shape = values.shape

@@ -13,7 +13,7 @@ from neckdown.initial import ic_steady_perturbed_poly, project_boundary_rows
 from neckdown.steady import contact_point, parabola, steady_profile
 from neckdown import evolve
 from neckdown.cli import main
-from neckdown.io import build_report
+from neckdown.io import build_report, load_checkpoint, write_checkpoint
 from neckdown.linear import LinearSolveError, Workspace, flux_energy_report, step_linear
 from neckdown.evolve import (
     BLOCK,
@@ -422,6 +422,34 @@ def assert_same_bits(got: list[np.ndarray], want: list[np.ndarray]) -> None:
     for name, a, b in zip(("ledger", "min_series", "flux_reports"), got, want, strict=True):
         assert a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_resume_from_a_numpy_integer_step_writes_its_checkpoint(tmp_path):
+    """numbers.Integral admits numpy integers, so a RunStart may carry an
+    np.int64 step; run holds it as a Python int, so the resumed run's end
+    step is one, its checkpoint writes and loads back, and the run and the
+    checkpoint's bytes are those of a resume from a Python int step."""
+    grid = make_grid(51)
+    cfg = SolverConfig(pressure=1.0, n=51, dt=1e-4, t_final=30e-4, epsilon=1e-2,
+                       output_every=1)
+    h0 = Profile(grid=grid, values=ic_steady_perturbed_poly(1.0, grid, 0.05), pressure=1.0)
+    first = run(replace(cfg, t_final=10e-4), h0)
+
+    def resume(step):
+        traj = run(cfg, first.final, start=replace(first.end, step=step))
+        path = tmp_path / f"{type(step).__name__}.json"
+        write_checkpoint(traj, path)
+        return traj, path
+
+    want, want_path = resume(first.end.step)
+    got, got_path = resume(np.int64(first.end.step))
+    assert type(got.end.step) is int
+    assert_same_bits(diagnostics(got), diagnostics(want))
+    assert got.snapshots.tobytes() == want.snapshots.tobytes()
+    assert got_path.read_bytes() == want_path.read_bytes()
+    restored, start = load_checkpoint(got_path, cfg)
+    assert type(start.step) is int and start.step == 30
+    assert restored.values.tobytes() == got.final.values.tobytes()
 
 
 def pinch_config(**config) -> SolverConfig:
@@ -868,6 +896,34 @@ def test_decay_fit_recovers_exponential_relaxation(decay_traj):
     assert 4.2 < fit.rate < 4.9
     assert fit.r_squared > 0.999
     assert 0.8 < fit.prefactor < 1.1
+
+
+def test_decay_fit_matches_per_snapshot_distances_bit_for_bit(monkeypatch):
+    """decay_rate takes the snapshots' H^1 distances in h1_norm calls of at
+    most BLOCK rows; on 2 BLOCK + 5 snapshots (two full calls and a partial
+    one) its fit has the bits of a fit over one 1-D call per snapshot."""
+    grid = make_grid(51)
+    steps = 2 * BLOCK + 4
+    cfg = SolverConfig(pressure=1.0, n=51, dt=1e-3, t_final=steps * 1e-3, epsilon=1e-2,
+                       output_every=1)
+    h0 = Profile(grid=grid, values=ic_steady_perturbed_poly(1.0, grid, 0.05), pressure=1.0)
+    traj = run(cfg, h0)
+    assert len(traj.snapshots) == 2 * BLOCK + 5
+    calls = []
+
+    def per_row(values, grid):
+        values = np.asarray(values)
+        if values.ndim == 1:
+            return h1_norm(values, grid)
+        calls.append(len(values))
+        return np.array([h1_norm(row, grid) for row in values])
+
+    got = decay_rate(traj)
+    monkeypatch.setattr(evolve, "h1_norm", per_row)
+    want = decay_rate(traj)
+    assert calls == [BLOCK, BLOCK, 5]
+    assert [x.hex() for x in (got.rate, got.prefactor, got.r_squared)] == [
+        x.hex() for x in (want.rate, want.prefactor, want.r_squared)]
 
 
 def test_decay_fit_guards(grid, steady_traj, pinch_traj, steady_p1):

@@ -225,10 +225,11 @@ _SPECIAL = st.one_of(
     specials=st.lists(_SPECIAL, max_size=12),
 )
 def test_kernel_path_matches_sparse_matmul_bit_for_bit(n, layout, seed, specials):
-    """derivative and h1_norm go through scipy's private csr_matvec kernel;
-    it must give the bytes of (op @ v) / dx**k, op scipy's public
-    csr_matrix built from the cached operator's arrays.  This pins the
-    private import and the summation order it relies on."""
+    """derivative and h1_norm take one field through scipy's private
+    csr_matvecs kernel as a stack of one; it must give the bytes of
+    (op @ v) / dx**k, op scipy's public csr_matrix built from the cached
+    operator's arrays.  This pins the private import and the summation
+    order it relies on."""
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
     if layout == "integer":
@@ -298,12 +299,12 @@ def test_stacked_calls_match_per_field_calls_bit_for_bit(n, k, layout, seed, spe
 
 
 def test_kernel_path_rejects_fields_of_the_wrong_shape(grid201):
-    """The raw kernels read n entries per field whatever the array holds, so
-    a mismatch must raise before they run.  h1_norm checks the grid's node
+    """The raw kernel reads n entries per field whatever the array holds, so
+    a mismatch must raise before it runs.  h1_norm checks the grid's node
     count, for one field or each row of a (k, n) stack; derivative builds
     its own from the last axis, so a (k, n) stack is fine and only an array
-    whose rows are too short for the stencil, or that has more than two
-    axes, can disagree with it."""
+    whose rows are too short for the stencil, or that has no axis or more
+    than two, can disagree with it."""
     for length in (9, 199, 200, 202, 401):
         for shape in ((length,), (2, length), (1, length)):
             with pytest.raises(ValueError):
@@ -311,7 +312,7 @@ def test_kernel_path_rejects_fields_of_the_wrong_shape(grid201):
     for shape in ((201, 1), (201, 2), (2, 3, 201)):
         with pytest.raises(ValueError):
             h1_norm(np.ones(shape), grid201)
-    for shape in ((201, 1), (201, 2), (2, 3, 201)):
+    for shape in ((), (201, 1), (201, 2), (2, 3, 201)):
         for k in range(1, 6):
             with pytest.raises(ValueError):
                 derivative(np.ones(shape), grid201.dx, k)
