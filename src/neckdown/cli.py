@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
-from .evolve import SolverConfig, Termination, epsilon_continuation
+from .evolve import SolverConfig, Termination, check_epsilon_schedule, epsilon_continuation
 from .grid import Profile, make_grid
 from .initial import build_initial_condition, read_json
 from .io import (
@@ -22,7 +23,6 @@ from .io import (
     _g17,
     _g17_row,
     _jsonable,
-    config_to_dict,
     default_out_dir,
     execute_run,
     resolve_config,
@@ -34,18 +34,21 @@ from .verify import format_table, run_checks
 OK_TERMINATIONS = (Termination.REACHED_T_FINAL, Termination.PINCH_DETECTED)
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pressure", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--t-final", type=float, default=None)
-    parser.add_argument("--pinch-floor", type=float, default=None)
-    parser.add_argument("--output-every", type=int, default=None)
-    parser.add_argument(
-        "--flux-diagnostics", action="store_true", default=None,
-        help="emit per-step flux energy diagnostics CSV",
-    )
+# the add_argument keywords for each SolverConfig annotation
+_FLAG_KINDS = {"bool": {"action": "store_true"}, "int": {"type": int}, "float": {"type": float}}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, names) -> None:
+    """A flag per named SolverConfig field, --name with "-" for "_"; absent, it reads None."""
+    for f in fields(SolverConfig):
+        if f.name in names:
+            parser.add_argument("--" + f.name.replace("_", "-"), default=None,
+                                help=f.metadata.get("help"), **_FLAG_KINDS[f.type])
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser, owned=()) -> None:
+    """The flags of the SolverConfig fields the command does not set itself, and --config."""
+    _add_field_flags(parser, {f.name for f in fields(SolverConfig)} - set(owned))
     parser.add_argument(
         "--config", type=Path, default=None, metavar="FILE",
         help="JSON file with solver parameters; flags override it",
@@ -62,16 +65,18 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    """The solver flags' dest names are the SolverConfig field names."""
+def _solver_config(args: argparse.Namespace, **owned) -> SolverConfig:
+    """Flags over the config file over the defaults.  The solver flags' dest
+    names are the SolverConfig field names; owned gives the fields that the
+    command sets itself and has no flag for, over the file too."""
     file_values = None
     if args.config is not None:
         file_values = read_json(args.config, "config file")
-    return resolve_config(vars(args), file_values)
+    return resolve_config({**vars(args), **owned}, file_values)
 
 
 def _echo_config(cfg: SolverConfig) -> None:
-    print("resolved config:", json.dumps(_jsonable(config_to_dict(cfg)), sort_keys=True))
+    print("resolved config:", json.dumps(_jsonable(asdict(cfg)), sort_keys=True))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -97,18 +102,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if traj.termination in OK_TERMINATIONS else 3
 
 
-def _sweep_worker(payload: tuple[SolverConfig, str, str, int]) -> dict | str:
+def _sweep_worker(manifest: RunManifest) -> dict | str:
     """One sweep job: its report, or the message of an error that would make
     a single run exit 2, so that one bad job does not lose the batch."""
-    cfg, ic, out_dir, seed = payload
     try:
-        manifest = RunManifest(
-            config=cfg, initial_condition=ic, out_dir=Path(out_dir), seed=seed
-        )
-        _, report = execute_run(manifest)
+        return execute_run(manifest)[1]
     except (ValueError, OSError) as exc:
         return str(exc)
-    return report
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -129,25 +129,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_root = args.out_dir if args.out_dir is not None else default_out_dir()
     # the shared flags are checked once, at a stand-in pressure; a pressure
     # that check_pressure rejects is its own job's error
-    shared = _solver_config(argparse.Namespace(**{**vars(args), "pressure": 1.0}))
+    shared = RunManifest(_solver_config(args, pressure=1.0), args.ic, out_root, args.seed)
     reports: dict[str, dict | str] = {}
-    payloads = {}
+    manifests = {}
     for name, (p,) in jobs.items():
         try:
-            payloads[name] = (replace(shared, pressure=p), args.ic, str(out_root / name), args.seed)
+            config = replace(shared.config, pressure=p)
+            manifests[name] = replace(shared, config=config, out_dir=out_root / name)
         except ValueError as exc:
             reports[name] = str(exc)
 
     # a fork-based pool starts all its workers at once: no more than the jobs
-    workers = min(args.workers, len(payloads))
+    workers = min(args.workers, len(manifests))
     if workers > 1:
         # imported here: multiprocessing would otherwise load on every command
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports.update(zip(payloads, pool.map(_sweep_worker, payloads.values())))
+            reports.update(zip(manifests, pool.map(_sweep_worker, manifests.values())))
     else:
-        reports.update((name, _sweep_worker(pl)) for name, pl in payloads.items())
+        reports.update((name, _sweep_worker(m)) for name, m in manifests.items())
 
     out_root.mkdir(parents=True, exist_ok=True)
     lines = ["pressure,termination,t_end,energy_final,pinched,t_pinch"]
@@ -194,8 +195,10 @@ def _cmd_steady(args: argparse.Namespace) -> int:
 
 
 def _cmd_continuation(args: argparse.Namespace) -> int:
-    cfg = _solver_config(args)
-    schedule = [float(e) for e in args.eps_schedule.split(",") if e.strip()]
+    schedule = check_epsilon_schedule(e for e in args.eps_schedule.split(",") if e.strip())
+    # the first level's config: each level sets its own epsilon, and no flux
+    # CSV is written
+    cfg = _solver_config(args, epsilon=schedule[0], flux_diagnostics=False)
     grid = make_grid(cfg.n)
     values = build_initial_condition(args.ic, cfg.pressure, grid, seed=args.seed)
     h0 = Profile(grid=grid, values=values, pressure=cfg.pressure)
@@ -204,37 +207,19 @@ def _cmd_continuation(args: argparse.Namespace) -> int:
 
     rows = []
     for pair in report.pairs:
-        rows.append(
-            {
-                "eps_high": pair.eps_high,
-                "eps_low": pair.eps_low,
-                "max_sup_diff": pair.max_sup_diff,
-            }
-        )
-        print(
-            f"eps {pair.eps_high:g} -> {pair.eps_low:g}: "
-            f"max sup diff {pair.max_sup_diff:.6e}"
-        )
+        rows.append({"eps_high": pair.eps_high, "eps_low": pair.eps_low,
+                     "max_sup_diff": pair.max_sup_diff})
+        print(f"eps {pair.eps_high:g} -> {pair.eps_low:g}: max sup diff {pair.max_sup_diff:.6e}")
     print(f"cauchy: {report.cauchy}")
     out_dir = args.out_dir if args.out_dir is not None else default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
+    terminations = [t.termination for t in report.trajectories]
     write_report_json(
-        _jsonable(
-            {
-                "schedule": schedule,
-                "pairs": rows,
-                "cauchy": report.cauchy,
-                "terminations": [
-                    t.termination.value for t in report.trajectories
-                ],
-            }
-        ),
+        _jsonable({"schedule": schedule, "pairs": rows, "cauchy": report.cauchy,
+                   "terminations": [t.value for t in terminations]}),
         out_dir / "continuation.json",
     )
-    bad = any(
-        t.termination not in OK_TERMINATIONS for t in report.trajectories
-    )
-    return 3 if bad else 0
+    return 0 if all(t in OK_TERMINATIONS for t in terminations) else 3
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -248,7 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="neckdown",
         description="Thin-neck lubrication model: implicit solver and diagnostics",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: sweep --pressure would otherwise read as --pressures
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p_run = sub.add_parser("run", help="advance one configuration and write outputs")
     _add_solver_flags(p_run)
@@ -260,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run several pressures in parallel")
-    _add_solver_flags(p_sweep)
+    _add_solver_flags(p_sweep, owned=("pressure",))
     _add_io_flags(p_sweep)
     p_sweep.add_argument("--pressures", required=True,
                          help="comma-separated pressure values")
@@ -268,15 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_steady = sub.add_parser("steady", help="dump the steady profile and its energy")
-    p_steady.add_argument("--pressure", type=float, default=None)
-    p_steady.add_argument("--n", type=int, default=None)
+    _add_field_flags(p_steady, ("pressure", "n"))
     p_steady.add_argument("--out", type=Path, default=None)
     p_steady.set_defaults(func=_cmd_steady)
 
     p_cont = sub.add_parser(
         "continuation", help="run a decreasing regularization schedule and compare"
     )
-    _add_solver_flags(p_cont)
+    _add_solver_flags(p_cont, owned=("epsilon", "flux_diagnostics"))
     _add_io_flags(p_cont)
     p_cont.add_argument("--eps-schedule", required=True,
                         help="comma-separated decreasing epsilon values")

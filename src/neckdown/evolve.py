@@ -65,7 +65,9 @@ class SolverConfig:
     epsilon: float = 0.0
     pinch_floor: float = 1e-3
     output_every: int = 100
-    flux_diagnostics: bool = False
+    flux_diagnostics: bool = field(
+        default=False, metadata={"help": "emit per-step flux energy diagnostics CSV"}
+    )
 
     def __post_init__(self):
         for f in fields(self):
@@ -454,6 +456,18 @@ class ContinuationReport:
     cauchy: bool
 
 
+def check_epsilon_schedule(eps_schedule) -> list[float]:
+    """The schedule's values as floats: nonempty, positive, strictly decreasing."""
+    schedule = [float(e) for e in eps_schedule]
+    if not schedule:
+        raise ValueError("epsilon schedule is empty")
+    if any(e <= 0.0 for e in schedule):
+        raise ValueError("epsilon schedule must be positive")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("epsilon schedule must be strictly decreasing")
+    return schedule
+
+
 def epsilon_continuation(
     cfg: SolverConfig, h0: Profile, eps_schedule: list[float]
 ) -> ContinuationReport:
@@ -464,14 +478,7 @@ def epsilon_continuation(
     (discrete Cauchy behavior).  A failed run truncates its trajectory but
     does not abort the continuation.
     """
-    schedule = [float(e) for e in eps_schedule]
-    if not schedule:
-        raise ValueError("epsilon schedule is empty")
-    if any(e <= 0.0 for e in schedule):
-        raise ValueError("epsilon schedule must be positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("epsilon schedule must be strictly decreasing")
-
+    schedule = check_epsilon_schedule(eps_schedule)
     trajectories = [run(replace(cfg, epsilon=e), h0) for e in schedule]
 
     pairs = []

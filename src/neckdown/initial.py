@@ -205,11 +205,14 @@ IC_FAMILIES = {
 
 
 def ic_family(spec: str) -> str:
-    """The family of an initial-condition spec: its text before any ":"."""
-    family = spec.partition(":")[0]
+    """The family of an initial-condition spec: its text before any ":".
+    An unknown family, or an argument to steady, is a ValueError."""
+    family, _, arg = spec.partition(":")
     if family not in IC_FAMILIES:
         raise ValueError(f"unknown initial-condition family {family!r}; "
                          f"choose one of {', '.join(IC_FAMILIES)}")
+    if family == "steady" and arg:
+        raise ValueError(f"initial condition {spec!r}: steady takes no argument")
     return family
 
 

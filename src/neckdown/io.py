@@ -199,7 +199,7 @@ def write_checkpoint(traj: Trajectory, path: Path) -> None:
     config that wrote it: enough to continue the run bit for bit."""
     end = traj.end
     state = {
-        "config": _jsonable(config_to_dict(traj.config)),
+        "config": _jsonable(asdict(traj.config)),
         "step": end.step,
         "cumulative_dissipation": end.cumulative_dissipation,
         "values": traj.snapshots[-1].tolist(),
@@ -251,10 +251,6 @@ def load_checkpoint(path: Path, cfg: SolverConfig) -> tuple[Profile, RunStart]:
         history=tuple(profile("history", row).values for row in state["history"]),
     )
     return profile("values", state["values"]), start
-
-
-def config_to_dict(cfg: SolverConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(SolverConfig)}
 
 
 # JSON types each SolverConfig annotation accepts from a config file
@@ -310,7 +306,7 @@ def execute_run(manifest: RunManifest) -> tuple[Trajectory, dict]:
     write_snapshots_jsonl(traj, manifest.snapshots_path)
     report = build_report(traj)
     report["manifest"] = {
-        "config": _jsonable(config_to_dict(cfg)),
+        "config": _jsonable(asdict(cfg)),
         "initial_condition": manifest.initial_condition,
         "seed": manifest.seed,
     }

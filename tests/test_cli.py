@@ -212,6 +212,20 @@ def test_manifest_rejects_unknown_family(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "command", [["run", "--pressure", "1"], ["sweep", "--pressures", "1,1.5", "--workers", "1"]],
+    ids=["run", "sweep"],
+)
+def test_cli_steady_with_an_argument_exits_two(tmp_path, capsys, command):
+    """The steady family takes no argument: steady:0.3 is an error naming
+    the spec, not the plain steady profile recorded under that name."""
+    out = tmp_path / "out"
+    assert main([*command, "--n", "51", "--dt", "1e-3", "--t-final", "0.005",
+                 "--ic", "steady:0.3", "--out-dir", str(out)]) == 2
+    assert "initial condition 'steady:0.3': steady takes no argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_execute_run_writes_parseable_artifacts(tmp_path):
     manifest = RunManifest(
         config=quick_config(flux_diagnostics=True),
@@ -690,10 +704,10 @@ def test_cli_non_finite_value_exits_two(tmp_path, capsys, flag, value, field):
 @pytest.mark.parametrize(
     "command",
     [
-        ["run"],
+        ["run", "--pressure", "1"],
         ["sweep", "--pressures", "1", "--workers", "1"],
         ["sweep", "--pressures", "1", "--workers", "2"],
-        ["continuation", "--eps-schedule", "1e-2"],
+        ["continuation", "--pressure", "1", "--eps-schedule", "1e-2"],
     ],
     ids=["run", "sweep-1", "sweep-2", "continuation"],
 )
@@ -705,8 +719,7 @@ def test_cli_step_count_that_is_not_finite_exits_two(tmp_path, capsys, command, 
     exit 2 naming both values, with nothing written.  Unchecked, the run
     died with OverflowError on int(round(t_final / dt))."""
     out = tmp_path / "out"
-    rc = main([*command, "--pressure", "1", "--n", "51", "--dt", dt, "--t-final", t_final,
-               "--out-dir", str(out)])
+    rc = main([*command, "--n", "51", "--dt", dt, "--t-final", t_final, "--out-dir", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "t_final / dt must be a finite step count" in err
@@ -876,6 +889,18 @@ def test_cli_sweep_records_a_rejected_pressure_as_its_job_error(tmp_path, capsys
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_sweep_with_an_unknown_family_exits_two(tmp_path, capsys, workers):
+    """The --ic family is a shared flag: an unknown one exits 2 before any
+    job runs, and nothing is written."""
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--pressures", "1,2", "--workers", workers, "--n", "51", "--dt", "1e-3",
+               "--t-final", "0.005", "--ic", "bogus", "--out-dir", str(out)])
+    assert rc == 2
+    assert "unknown initial-condition family 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_pool_has_at_most_one_worker_per_job(tmp_path, capsys, monkeypatch):
     """The pool gets min(--workers, jobs) processes, and --workers below 1
     exits 2 naming the flag.  A fake pool records its size and maps the jobs
@@ -940,10 +965,18 @@ def test_cli_sweep_rejects_pressures_that_share_a_job_directory(
 
 
 NON_DEFAULT_SOLVER_FLAGS = [
-    "--pressure", "2.5", "--epsilon", "0.03", "--n", "301", "--dt", "2e-4",
-    "--t-final", "0.7", "--pinch-floor", "2e-3", "--output-every", "9",
-    "--flux-diagnostics",
+    ["--pressure", "2.5"], ["--epsilon", "0.03"], ["--n", "301"], ["--dt", "2e-4"],
+    ["--t-final", "0.7"], ["--pinch-floor", "2e-3"], ["--output-every", "9"],
+    ["--flux-diagnostics"],
 ]
+
+# the fields each solver command sets itself, and has no flag for, with the
+# values the flags above would give them
+OWNED = {
+    "run": {},
+    "sweep": {"pressure": 2.5},
+    "continuation": {"epsilon": 0.03, "flux_diagnostics": True},
+}
 
 
 @pytest.mark.parametrize(
@@ -951,13 +984,85 @@ NON_DEFAULT_SOLVER_FLAGS = [
     [["run"], ["sweep", "--pressures", "2.5"], ["continuation", "--eps-schedule", "1e-2"]],
 )
 def test_every_solver_field_is_set_by_its_flag(command):
-    cfg = _solver_config(build_parser().parse_args(command + NON_DEFAULT_SOLVER_FLAGS))
+    """Each solver flag a command has sets its field; the fields the command
+    sets itself come into _solver_config as the command passes them."""
+    owned = OWNED[command[0]]
+    flags = [arg for flag in NON_DEFAULT_SOLVER_FLAGS
+             if flag[0][2:].replace("-", "_") not in owned for arg in flag]
+    cfg = _solver_config(build_parser().parse_args(command + flags), **owned)
     assert cfg == SolverConfig(
         pressure=2.5, epsilon=0.03, n=301, dt=2e-4, t_final=0.7, pinch_floor=2e-3,
         output_every=9, flux_diagnostics=True,
     )
     for field in fields(SolverConfig):
         assert getattr(cfg, field.name) != field.default, field.name
+
+
+@pytest.mark.parametrize("command", list(OWNED))
+def test_solver_flags_are_the_fields_a_command_does_not_set(command):
+    """A solver command has one flag per SolverConfig field that it does not
+    set itself: sweep sets each job's pressure, and continuation each level's
+    epsilon, with flux diagnostics off."""
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    options = {option for action in sub._actions for option in action.option_strings}
+    field_flags = {f.name: "--" + f.name.replace("_", "-") for f in fields(SolverConfig)}
+    assert options & set(field_flags.values()) == {
+        flag for name, flag in field_flags.items() if name not in OWNED[command]
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--pressures", "1", "--pressure", "3"],
+        ["continuation", "--pressure", "1", "--eps-schedule", "1e-2", "--epsilon", "0.5"],
+        ["continuation", "--pressure", "1", "--eps-schedule", "1e-2", "--flux-diagnostics"],
+        ["run", "--press", "1"],
+    ],
+    ids=["sweep-pressure", "continuation-epsilon", "continuation-flux", "run-abbreviated"],
+)
+def test_cli_flag_the_command_would_ignore_exits_two(tmp_path, capsys, argv):
+    """A command has no flag for a field it sets itself, and takes no prefix
+    of a flag for the flag: sweep --pressure would otherwise read as
+    --pressures.  Each exits 2 with nothing written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "51", "--dt", "1e-3", "--t-final", "0.005", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_continuation_echoes_the_config_of_its_first_level(tmp_path, capsys):
+    """The resolved config line shows the first level's epsilon and flux
+    diagnostics off, whatever the config file says, and no level writes a
+    flux CSV."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"pressure": 1.0, "epsilon": 0.5, "flux_diagnostics": True}))
+    out = tmp_path / "cont"
+    rc = main(["continuation", "--config", str(cfg_file), "--n", "51", "--dt", "1e-3",
+               "--t-final", "0.005", "--eps-schedule", "1e-2,1e-3", "--out-dir", str(out)])
+    assert rc == 0
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.startswith("resolved config: "))
+    resolved = json.loads(line.removeprefix("resolved config: "))
+    assert resolved["epsilon"] == 1e-2 and resolved["flux_diagnostics"] is False
+    assert sorted(p.name for p in out.iterdir()) == ["continuation.json"]
+
+
+@pytest.mark.parametrize(
+    "schedule, complaint",
+    [(",", "epsilon schedule is empty"), ("1e-2,0", "epsilon schedule must be positive"),
+     ("1e-3,1e-2", "epsilon schedule must be strictly decreasing")],
+    ids=["empty", "zero", "increasing"],
+)
+def test_cli_continuation_bad_schedule_exits_two(tmp_path, capsys, schedule, complaint):
+    out = tmp_path / "cont"
+    rc = main(["continuation", "--pressure", "1", "--n", "51", "--dt", "1e-3",
+               "--t-final", "0.005", "--eps-schedule", schedule, "--out-dir", str(out)])
+    assert rc == 2
+    assert f"error: {complaint}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_continuation_writes_pairs(tmp_path, capsys):
@@ -1054,9 +1159,9 @@ def test_cli_has_no_quadrature_or_time_scheme_option(tmp_path, capsys):
 
 
 def test_readme_lists_exactly_the_solver_flags():
-    """README's CLI section names the flags that _add_solver_flags gives
-    every solver subcommand, so that adding or removing one cannot leave it
-    stale."""
+    """README's CLI section names the flags that _add_solver_flags makes, one
+    per SolverConfig field and --config, so that adding or removing a field
+    cannot leave it stale."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     sentence = cli_section.split("All solver flags are shared across subcommands:", 1)[1]
